@@ -324,6 +324,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("witness_budget", "max_grid"):
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name.replace('_', '-')} must not be negative")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

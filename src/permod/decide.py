@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from permod import oracle as _oracle
@@ -41,12 +41,13 @@ from permod.pmod import (
     is_aug_zero,
     omega,
     orbit_canonical_form,
-    orbit_reps_over,
+    place,
+    placed_rows,
     relabel,
     support_points,
 )
 from permod.ring import CharacterQZ, RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, ReductSpec, StructureOracle, gap_values
+from permod.structure import DLO, ParamSet, ReductSpec, StructureOracle, gap_values, parse_point
 
 
 @dataclass(frozen=True)
@@ -126,23 +127,23 @@ class VerificationError(RuntimeError):
 
 def _dedup_orbits(generators: Sequence[ModVector]) -> list[ModVector]:
     # drop generators lying in the orbit of an earlier one
-    kept: list[ModVector] = []
-    seen: set[ModVector] = set()
+    kept: dict[ModVector, ModVector] = {}
     for g in generators:
-        form = orbit_canonical_form(g)
-        if form not in seen:
-            seen.add(form)
-            kept.append(g)
-    return kept
+        kept.setdefault(orbit_canonical_form(g), g)
+    return list(kept.values())
 
 
-def _placed_representatives(
-    generators: Sequence[ModVector], params: ParamSet, oracle: StructureOracle
-) -> list[ModVector]:
-    reps: list[ModVector] = []
-    for g in _dedup_orbits(generators):
-        reps.extend(orbit_reps_over(g, params, oracle))
-    return reps
+def _stream(generators: Sequence[ModVector], params: ParamSet, oracle: StructureOracle):
+    """(generator, slot map, omega row) for every placement, in order."""
+    for g in generators:
+        for slot_map, row in placed_rows(g, params, oracle):
+            yield g, slot_map, row
+
+
+def _rep_count(generators: Sequence[ModVector], params: ParamSet, oracle: StructureOracle) -> int:
+    return sum(
+        oracle.placement_count(len(support_points(g).points), params.size) for g in generators
+    )
 
 
 def membership(
@@ -159,6 +160,10 @@ def membership(
     ``param_set`` may name any finite superset of the target's support
     points (the verdict does not depend on the choice); ``witness_budget``
     caps the grid size of the optional explicit-witness search on YES.
+
+    Distinct rows go in in placement order, each naming its first
+    representative.  Over a field the stream stops once the target is in
+    the span; over Z every row goes in, as gcd steps may rewrite the basis.
     """
     generators = list(generators)
     check_family([target, *generators])
@@ -168,24 +173,28 @@ def membership(
     if not params.issuperset(support):
         raise ValueError("parameter set must contain the support points of the target")
 
-    reps = _placed_representatives(generators, params, oracle)
-    rep_augs = [omega(r, params, oracle) for r in reps]
+    gens = _dedup_orbits(generators)
+    rep_count = _rep_count(gens, params, oracle)
     target_aug = omega(target, params, oracle)
-
-    keys = sorted(
-        set(target_aug.entry_dict()).union(*(a.entry_dict() for a in rep_augs))
-        if rep_augs
-        else set(target_aug.entry_dict())
-    )
-    col = {k: i for i, k in enumerate(keys)}
     engine = make_span(ring)
-    for aug in rep_augs:
-        engine.insert((col[k], v) for k, v in aug.entries)
-    comb = engine.reduce_comb((col[k], v) for k, v in target_aug.entries)
+    first: list = []  # (generator, slot map) of each inserted row
+    seen: set = set()
+    comb = {} if target_aug.is_zero else None
+    for g, slot_map, row in _stream(gens, params, oracle) if comb is None else ():
+        if row.entries in seen:
+            continue
+        seen.add(row.entries)
+        first.append((g, slot_map))
+        if engine.insert(row.entries) and ring.is_field:
+            comb = engine.reduce_comb(target_aug.entries)
+            if comb is not None:
+                break
+    if comb is None and not ring.is_field:
+        comb = engine.reduce_comb(target_aug.entries)
 
     if comb is not None:
         terms = tuple(
-            (comb[j], reps[j]) for j in range(len(reps)) if j in comb and comb[j] != 0
+            (comb[j], place(*first[j], params, oracle)) for j in sorted(comb) if comb[j] != 0
         )
         explicit = None
         if witness_budget:
@@ -195,29 +204,22 @@ def membership(
             if found.conclusive:
                 explicit = ExplicitWitness(tuple(found.witness))
         cert: Certificate = SpanWitnessCert(terms, explicit)
-        return Decision(True, cert, params, len(reps))
+        return Decision(True, cert, params, rep_count)
 
+    # pattern keys are the columns, in sorted order like the pivots
+    keys = sorted({k for entries in seen for k, _ in entries}.union(target_aug.entry_dict()))
     if ring.is_field:
-        phi = engine.functional((col[k], v) for k, v in target_aug.entries)
-        dense = normalize_functional([phi.get(i, ring.zero()) for i in range(len(keys))], ring)
+        phi = engine.functional(target_aug.entries)
+        dense = normalize_functional([phi.get(k, ring.zero()) for k in keys], ring)
         functional = AugVector.from_dict(ring, dict(zip(keys, dense)))
-        return Decision(False, FunctionalCert(functional), params, len(reps))
+        return Decision(False, FunctionalCert(functional), params, rep_count)
 
     dense_target = [target_aug.entry_dict().get(k, 0) for k in keys]
-    chi = character_from_span(engine, dense_target, len(keys))
+    chi = character_from_span(engine, dense_target, keys)
     values = tuple(
         (k, c) for k, c in zip(keys, chi.coeffs) if c != 0
     )
-    return Decision(False, CharacterCert(values), params, len(reps))
-
-
-def _aug_pairing(phi: AugVector, aug: AugVector, ring: RingSpec) -> Scalar:
-    table = phi.entry_dict()
-    total = ring.zero()
-    for key, coeff in aug.entries:
-        if key in table:
-            total = ring.add(total, ring.mul(table[key], coeff))
-    return total
+    return Decision(False, CharacterCert(values), params, rep_count)
 
 
 def verify_certificate(
@@ -228,8 +230,9 @@ def verify_certificate(
     reduct: ReductSpec | None = None,
     oracle: StructureOracle = DLO,
 ) -> bool:
-    """Recompute representatives and coefficient sums from scratch and
-    re-evaluate the certificate identities.  False signals a defect."""
+    """Recompute the representative count, the certified representatives
+    and the coefficient sums from scratch and re-evaluate the certificate
+    identities.  False signals a defect."""
     try:
         generators = list(generators)
         if reduct is not None and reduct.kind != "none":
@@ -239,19 +242,25 @@ def verify_certificate(
         params = decision.param_set
         if not params.issuperset(support_points(target)):
             return False
-        reps = _placed_representatives(generators, params, oracle)
-        if decision.rep_count != len(reps):
+        gens = _dedup_orbits(generators)
+        if decision.rep_count != _rep_count(gens, params, oracle):
             return False
         target_aug = omega(target, params, oracle)
+        cert = decision.certificate
 
         if decision.member:
-            cert = decision.certificate
             if not isinstance(cert, SpanWitnessCert):
                 return False
-            rep_pool = set(reps)
             total = AugVector.from_dict(ring, {})
             for coeff, rep in cert.terms:
-                if rep not in rep_pool or ring.is_zero(coeff):
+                # rep must be the canonical representative of its placement
+                slots = oracle.pattern_of_tuple(support_points(rep).points, params).slots
+                slot_map = tuple(2 * i + (kind == "param") for kind, i in slots)
+                if ring.is_zero(coeff) or not any(
+                    len(support_points(g).points) == len(slot_map)
+                    and place(g, slot_map, params, oracle) == rep
+                    for g in gens
+                ):
                     return False
                 total = total.add(omega(rep, params, oracle).scale(coeff))
             if total != target_aug:
@@ -265,23 +274,23 @@ def verify_certificate(
                     return False
             return True
 
-        cert = decision.certificate
         if isinstance(cert, FunctionalCert):
             if not ring.is_field or cert.functional.is_zero:
                 return False
-            phi = cert.functional
-            for rep in reps:
-                if not ring.is_zero(_aug_pairing(phi, omega(rep, params, oracle), ring)):
-                    return False
-            return not ring.is_zero(_aug_pairing(phi, target_aug, ring))
-        if isinstance(cert, CharacterCert):
-            if ring.is_field:
-                return False
-            for rep in reps:
-                if cert.value_on(omega(rep, params, oracle)) != 0:
-                    return False
-            return cert.value_on(target_aug) != 0
-        return False
+            table, mod = cert.functional.entry_dict(), ring.p
+        elif isinstance(cert, CharacterCert) and not ring.is_field:
+            # values mod 1 as integers mod their common denominator
+            mod = cert.denominator
+            table = {k: int(v * mod) for k, v in cert.values}
+        else:
+            return False
+
+        def pairing(entries) -> Scalar:
+            total = sum(table[k] * c for k, c in entries if k in table)
+            return total % mod if mod else total
+
+        rows = {row.entries for _, _, row in _stream(gens, params, oracle)}
+        return all(pairing(r) == 0 for r in rows) and pairing(target_aug.entries) != 0
     except (ValueError, RingError):
         return False
 
@@ -339,22 +348,18 @@ def min_support(
     grid = [Fraction(i) for i in range(1, k * n + 1)]
     params = ParamSet.of(grid)
 
-    reps = _placed_representatives(generators, params, oracle)
-    rep_augs = [omega(r, params, oracle) for r in reps]
+    # distinct rows span the same space and give the same canonical
+    # (reduced or Hermite) basis as all of them
+    rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params, oracle)}
 
-    singleton: list[tuple[str, tuple[Fraction, ...]]] = []
-    for tup in _grid_tuples(grid, n):
-        singleton.append((oracle.pattern_of_tuple(tup, params).text, tup))
-    singleton.sort(key=lambda kv: kv[1])
+    singleton = [(oracle.pattern_of_tuple(t, params).text, t) for t in product(grid, repeat=n)]
 
     keys = sorted(
-        {k_ for aug in rep_augs for k_ in aug.entry_dict()}
+        {k_ for entries in rows for k_, _ in entries}
         | {text for text, _ in singleton}
     )
     col = {k_: i for i, k_ in enumerate(keys)}
-    rows = [
-        [aug.entry_dict().get(k_, ring.zero()) for k_ in keys] for aug in rep_augs
-    ]
+    rows = [[d.get(k_, ring.zero()) for k_ in keys] for d in map(dict, rows)]
 
     subsets = []
     for size in range(1, k + 1):
@@ -373,15 +378,6 @@ def min_support(
                 terms.append((tup, v))
         return ModVector.from_terms(ring, n, terms)
     return None
-
-
-def _grid_tuples(grid: Sequence[Fraction], n: int):
-    if n == 1:
-        yield from ((g,) for g in grid)
-        return
-    from itertools import product
-
-    yield from product(grid, repeat=n)
 
 
 def _reduct_expand(
@@ -514,7 +510,7 @@ def certificate_from_json(obj: dict, ring: RingSpec) -> Certificate:
         return FunctionalCert(AugVector.from_dict(ring, entries))
     if kind == "character":
         values = tuple(
-            sorted((k, Fraction(v)) for k, v in obj["character"].items())
+            sorted((k, parse_point(v)) for k, v in obj["character"].items())
         )
         return CharacterCert(values)
     raise ValueError(f"unknown certificate type {kind!r}")
@@ -522,12 +518,9 @@ def certificate_from_json(obj: dict, ring: RingSpec) -> Certificate:
 
 def decision_from_json(obj: dict, ring: RingSpec) -> Decision:
     try:
-        params = ParamSet.of(obj["paramSet"])
-        return Decision(
-            bool(obj["member"]),
-            certificate_from_json(obj["certificate"], ring),
-            params,
-            int(obj["repCount"]),
-        )
-    except (KeyError, TypeError) as exc:
+        if (type(obj["paramSet"]), type(obj["member"]), type(obj["repCount"])) != (list, bool, int):
+            raise TypeError("paramSet must be an array, member a boolean, repCount an integer")
+        return Decision(obj["member"], certificate_from_json(obj["certificate"], ring),
+                        ParamSet.of(parse_point(p) for p in obj["paramSet"]), obj["repCount"])
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed decision object: {exc}") from None

@@ -318,9 +318,9 @@ class IntegerSpan:
     def basis_pairs(self) -> list[tuple[int, dict[int, int]]]:
         return [(self.pivot_of[i], dict(row)) for i, row in enumerate(self.rows)]
 
-    def dense_basis(self, ncols: int) -> list[list[int]]:
+    def dense_basis(self, cols: Sequence) -> list[list[int]]:
         order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of[i])
-        return [[self.rows[i].get(c, 0) for c in range(ncols)] for i in order]
+        return [[self.rows[i].get(c, 0) for c in cols] for i in order]
 
 
 def make_span(ring: RingSpec, reduced: bool = True):
@@ -451,14 +451,16 @@ def normalize_functional(dense: list, ring: RingSpec) -> list:
     return dense
 
 
-def character_from_span(engine: IntegerSpan, target: Sequence[int], ncols: int) -> CharacterQZ:
-    """Separating character for a target outside an already-built lattice.
+def character_from_span(engine: IntegerSpan, target: Sequence[int], cols: Sequence) -> CharacterQZ:
+    """Separating character for a target outside an already-built lattice
+    whose columns, in pivot order, are ``cols``.
 
     The obstruction column of the Smith form is the smallest elementary
     divisor exceeding 1 that fails on the target, with ties broken by the
     lowest coordinate; a free direction yields the value 1/2 instead.
     """
-    divisors, Q = smith_with_colops(engine.dense_basis(ncols), ncols)
+    ncols = len(cols)
+    divisors, Q = smith_with_colops(engine.dense_basis(cols), ncols)
     s = [sum(target[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
     rank = len(divisors)
     witnessed = [
@@ -487,7 +489,7 @@ def dual_character(target: Sequence[int], generators: Sequence[Sequence[int]]) -
         engine.insert(enumerate(g))
     if engine.reduce_comb(enumerate(tgt)) is not None:
         raise RingError("target lies in the span; no separating character")
-    return character_from_span(engine, tgt, n)
+    return character_from_span(engine, tgt, range(n))
 
 
 def span_intersect_coords(

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from permod.ring import RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, StructureOracle
+from permod.structure import DLO, ParamSet, StructureOracle, parse_point
 
 Tuple_ = tuple[Fraction, ...]
 
@@ -48,9 +48,6 @@ class ModVector:
     @classmethod
     def zero(cls, ring: RingSpec, arity: int) -> "ModVector":
         return cls(ring, arity, ())
-
-    def term_dict(self) -> dict[Tuple_, Scalar]:
-        return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -102,27 +99,23 @@ class ModVector:
         that ring (the CLI's --ring override)."""
         try:
             file_ring = RingSpec.from_name(obj["ring"])
-            arity = int(obj["arity"])
+            arity = obj["arity"]
             raw = obj["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed vector object: {exc}") from None
+        if type(arity) is not int or not isinstance(raw, list):
+            raise ValueError("malformed vector object: arity must be an integer, terms an array")
         ring = ring or file_ring
         seen: set[Tuple_] = set()
         items = []
         for entry in raw:
-            coeff_text = entry["coeff"]
-            tup_text = entry["tuple"]
             try:
-                coeff = ring.parse(coeff_text)
-            except RingError as exc:
-                raise ValueError(f"term {entry!r}: {exc}") from None
-            tup = []
-            for x in tup_text:
-                try:
-                    tup.append(Fraction(x))
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(f"term {entry!r}: bad rational {x!r}") from None
-            tup = tuple(tup)
+                coeff = ring.parse(entry["coeff"])
+                if not isinstance(entry["tuple"], list):
+                    raise TypeError("tuple must be an array")
+                tup = tuple(parse_point(x) for x in entry["tuple"])
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise ValueError(f"term {entry!r}: malformed: {exc}") from None
             if ring.is_zero(coeff):
                 raise ValueError(f"term {entry!r}: zero coefficient")
             if tup in seen:
@@ -230,7 +223,7 @@ def omega(x: ModVector, params: ParamSet, oracle: StructureOracle = DLO) -> AugV
     acc: dict[str, Scalar] = {}
     ring = x.ring
     for tup, coeff in x.terms:
-        key = oracle.pattern_text(tup, params)
+        key = oracle.pattern_of_tuple(tup, params).text
         acc[key] = ring.add(acc.get(key, ring.zero()), coeff)
     return AugVector.from_dict(ring, acc)
 
@@ -276,6 +269,34 @@ def orbit_reps_over(
         translate_onto(skeleton, v.ring, v.arity, placement.images)
         for placement in oracle.enumerate_placements(chain, params)
     ]
+
+
+def place(
+    v: ModVector, slot_map: Sequence[int], params: ParamSet, oracle: StructureOracle = DLO
+) -> ModVector:
+    """The representative of v at one placement of its support chain."""
+    _, skeleton = chain_skeleton(v)
+    return translate_onto(skeleton, v.ring, v.arity, oracle.realize(slot_map, params.points))
+
+
+def placed_rows(v: ModVector, params: ParamSet, oracle: StructureOracle = DLO):
+    """Lazily yield (slot map, omega of its representative) for every
+    placement of v's support chain, in the order of `orbit_reps_over`,
+    without building representatives: keys come from slots and chain
+    indices, memoised per term and the slots of its indices."""
+    chain, skeleton = chain_skeleton(v)
+    ring = v.ring
+    s = params.size
+    terms = [(idxs, coeff, {}) for idxs, coeff in skeleton]
+    for slot_map in oracle.slot_maps(len(chain), s):
+        acc: dict[str, Scalar] = {}
+        for idxs, coeff, keys in terms:
+            slots = tuple(map(slot_map.__getitem__, idxs))
+            key = keys.get(slots)
+            if key is None:
+                key = keys[slots] = oracle.slot_word(idxs, slots, s)
+            acc[key] = ring.add(acc[key], coeff) if key in acc else coeff
+        yield slot_map, AugVector(ring, tuple(sorted(kv for kv in acc.items() if kv[1] != 0)))
 
 
 def orbit_canonical_form(v: ModVector) -> ModVector:

@@ -23,13 +23,9 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Sequence
+from itertools import groupby, permutations, product
+from typing import Iterable, Iterator, Sequence
 
-from permod.kernels import pattern_word
-
-Point = Fraction
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
 
 
@@ -85,18 +81,12 @@ class PatternKey:
     ``slots[j]`` places coordinate j either on a parameter or in a gap
     (gap i is the open interval below parameter i; gap of index equal to
     the parameter count is the unbounded top gap).  ``text`` is the
-    canonical merged word; equality and hashing go through it.
+    canonical merged word, which determines the slots.
     """
 
     arity: int
     slots: tuple[Slot, ...]
     text: str
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PatternKey) and self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash(self.text)
 
     @property
     def is_singleton(self) -> bool:
@@ -115,9 +105,6 @@ class Placement:
     source: tuple[Fraction, ...]
     slots: tuple[Slot, ...]
     images: tuple[Fraction, ...]
-
-    def mapping(self) -> dict[Fraction, Fraction]:
-        return dict(zip(self.source, self.images))
 
 
 @dataclass(frozen=True)
@@ -150,26 +137,63 @@ def gap_values(lo: Fraction | None, hi: Fraction | None, count: int) -> list[Fra
     return [lo + (hi - lo) * Fraction(j, d) for j in range(1, count + 1)]
 
 
+def merged_word(ppos: Sequence, cpos: Sequence) -> str:
+    """Canonical merged weak-order word of coordinates against parameters,
+    from their sort positions (the values, or any order-equivalent
+    stand-in): tokens p<i> then c<j> within an equality class, classes
+    joined by "<", members by "="."""
+    items = [(x, 0, i) for i, x in enumerate(ppos)]
+    items += [(x, 1, j) for j, x in enumerate(cpos)]
+    items.sort()
+    parts = []
+    prev = None
+    for val, kind, idx in items:
+        tok = "pc"[kind] + str(idx)
+        parts.append(("=" if val == prev else "<") + tok if parts else tok)
+        prev = val
+    return "".join(parts)
+
+
 class StructureOracle(ABC):
     """Contract a homogeneous-structure backend must satisfy.
 
     `pattern_of_tuple` must be constant on orbits of the pointwise
-    parameter stabiliser and separate them; `enumerate_placements` must
-    be complete and duplicate-free over those orbits.
+    parameter stabiliser and separate them.  A placement of an m-chain
+    over s parameters is a slot map: slot k of 0..2s is gap k//2 when even
+    and parameter (k-1)//2 when odd.  `slot_maps` must list each placement
+    once, and `realize` and `slot_word` must agree with `pattern_of_tuple`
+    on it.
     """
-
-    def pattern_text(self, w: Sequence[Fraction], params: ParamSet) -> str:
-        """Canonical key string only; hot path used by the coefficient-sum
-        maps.  Backends may override with something cheaper."""
-        return self.pattern_of_tuple(w, params).text
 
     @abstractmethod
     def pattern_of_tuple(self, w: Sequence[Fraction], params: ParamSet) -> PatternKey: ...
 
     @abstractmethod
+    def slot_maps(self, m: int, s: int) -> Iterator[tuple[int, ...]]: ...
+
+    @abstractmethod
+    def placement_count(self, m: int, s: int) -> int: ...
+
+    @abstractmethod
+    def realize(
+        self, slot_map: Sequence[int], points: Sequence[Fraction]
+    ) -> tuple[Fraction, ...]: ...
+
+    @abstractmethod
+    def slot_word(self, idxs: Sequence[int], slots: Sequence[int], s: int) -> str: ...
+
     def enumerate_placements(
         self, source_points: Sequence[Fraction], params: ParamSet
-    ) -> list[Placement]: ...
+    ) -> list[Placement]:
+        source = tuple(Fraction(x) for x in source_points)
+        for a, b in zip(source, source[1:]):
+            if a >= b:
+                raise ValueError("source points must be strictly increasing")
+        return [
+            Placement(source, tuple((("gap", "param")[k & 1], k // 2) for k in slot_map),
+                      self.realize(slot_map, params.points))
+            for slot_map in self.slot_maps(len(source), params.size)
+        ]
 
     @abstractmethod
     def canonical_orbit_reps(self, n: int) -> list[tuple[Fraction, ...]]: ...
@@ -181,23 +205,8 @@ class StructureOracle(ABC):
 
 
 class DenseLinearOrder(StructureOracle):
-    """The ordered rationals."""
-
-    def pattern_text(self, w: Sequence[Fraction], params: ParamSet) -> str:
-        pts = params.points
-        cnums = []
-        cdens = []
-        for x in w:
-            if not isinstance(x, Fraction):
-                x = Fraction(x)
-            cnums.append(x.numerator)
-            cdens.append(x.denominator)
-        return pattern_word(
-            cnums,
-            cdens,
-            [p.numerator for p in pts],
-            [p.denominator for p in pts],
-        )
+    """The ordered rationals; a slot map is non-decreasing and puts at most
+    one point on a parameter."""
 
     def pattern_of_tuple(self, w: Sequence[Fraction], params: ParamSet) -> PatternKey:
         pts = params.points
@@ -205,79 +214,52 @@ class DenseLinearOrder(StructureOracle):
         slots = []
         for x in w:
             i = bisect_left(pts, x)
-            if i < len(pts) and pts[i] == x:
-                slots.append(("param", i))
+            slots.append((("gap", "param")[i < len(pts) and pts[i] == x], i))
+        return PatternKey(len(w), tuple(slots), merged_word(pts, w))
+
+    def slot_maps(self, m: int, s: int) -> Iterator[tuple[int, ...]]:
+        """Every slot map of an m-chain over s parameters, lazily, in
+        lexicographic order."""
+
+        def rec(prefix: tuple[int, ...], lo: int) -> Iterator[tuple[int, ...]]:
+            if len(prefix) == m:
+                yield prefix
             else:
-                slots.append(("gap", i))
-        items = [(p, 0, i) for i, p in enumerate(pts)]
-        items += [(x, 1, j) for j, x in enumerate(w)]
-        items.sort()
-        parts = []
-        prev = None
-        for val, kind, idx in items:
-            tok = ("p" if kind == 0 else "c") + str(idx)
-            if prev is None:
-                parts.append(tok)
+                for k in range(lo, 2 * s + 1):
+                    yield from rec(prefix + (k,), k + (k & 1))
+
+        return rec((), 0)
+
+    def placement_count(self, m: int, s: int) -> int:
+        """len(list(slot_maps(m, s))) without enumerating: ways[i] counts
+        the placements of the first i points into the slots seen so far."""
+        ways = [1] + [0] * m
+        for k in range(2 * s + 1):
+            # a gap takes any number of points, a parameter at most one
+            for i in range(m, 0, -1) if k & 1 else range(1, m + 1):
+                ways[i] += ways[i - 1]
+        return ways[m]
+
+    def realize(self, slot_map: Sequence[int], points: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The canonical images of one placement: the parameter itself on a
+        parameter slot, `gap_values` for the run of points sharing a gap."""
+        images: list[Fraction] = []
+        for k, run in groupby(slot_map):
+            g = k // 2
+            if k & 1:
+                images.append(points[g])
             else:
-                parts.append(("=" if val == prev else "<") + tok)
-            prev = val
-        return PatternKey(len(w), tuple(slots), "".join(parts))
+                bounds = (points[g - 1] if g else None, points[g] if g < len(points) else None)
+                images.extend(gap_values(*bounds, len(list(run))))
+        return tuple(images)
 
-    @lru_cache(maxsize=1024)
-    def _slot_images(
-        self, m: int, points: tuple[Fraction, ...]
-    ) -> tuple[tuple[tuple[Slot, ...], tuple[Fraction, ...]], ...]:
-        # placements depend only on the chain length and the parameters
-        s = len(points)
-        maps: list[tuple[int, ...]] = []
-        cur: list[int] = []
-
-        # slot k of 0..2s: even = gap k//2, odd = parameter (k-1)//2
-        def rec(i: int, lo: int) -> None:
-            if i == m:
-                maps.append(tuple(cur))
-                return
-            for k in range(lo, 2 * s + 1):
-                cur.append(k)
-                rec(i + 1, k + 1 if k % 2 else k)
-                cur.pop()
-
-        rec(0, 0)
-        out = []
-        for slot_map in maps:
-            slots = tuple(
-                ("param", (k - 1) // 2) if k % 2 else ("gap", k // 2) for k in slot_map
-            )
-            images: list[Fraction] = []
-            i = 0
-            while i < m:
-                k = slot_map[i]
-                if k % 2:
-                    images.append(points[(k - 1) // 2])
-                    i += 1
-                    continue
-                j = i
-                while j < m and slot_map[j] == k:
-                    j += 1
-                g = k // 2
-                lo = points[g - 1] if g > 0 else None
-                hi = points[g] if g < s else None
-                images.extend(gap_values(lo, hi, j - i))
-                i = j
-            out.append((slots, tuple(images)))
-        return tuple(out)
-
-    def enumerate_placements(
-        self, source_points: Sequence[Fraction], params: ParamSet
-    ) -> list[Placement]:
-        source = tuple(Fraction(x) for x in source_points)
-        for a, b in zip(source, source[1:]):
-            if a >= b:
-                raise ValueError("source points must be strictly increasing")
-        return [
-            Placement(source, slots, images)
-            for slots, images in self._slot_images(len(source), params.points)
-        ]
+    def slot_word(self, idxs: Sequence[int], slots: Sequence[int], s: int) -> str:
+        """Pattern text of the tuple of chain points ``idxs`` placed in
+        ``slots``; points sharing a gap are ordered by chain index."""
+        return merged_word(
+            [(2 * i + 1, 0) for i in range(s)],
+            [(k, 0 if k & 1 else j) for j, k in zip(idxs, slots)],
+        )
 
     def canonical_orbit_reps(self, n: int) -> list[tuple[Fraction, ...]]:
         if n < 1:

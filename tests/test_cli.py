@@ -153,6 +153,69 @@ def test_malformed_rational_exit_2(files, capsys, tmp_path):
     assert "1/0" in err
 
 
+def input_error(argv, capsys):
+    """Run the CLI on bad input; it must exit 2 with one error line."""
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_character_with_zero_denominator_exit_2(files, capsys, tmp_path):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(dict(X_MINUS, ring="Z")))
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps({
+        "member": False, "paramSet": ["0", "2"], "repCount": 13,
+        "certificate": {"type": "character", "character": {"p0<c0<p1": "1/0"}},
+    }))
+    _, g, _ = files
+    input_error(["verify", "--decision", d, "--target", z, "--gens", g, "--ring", "Z"], capsys)
+
+
+@pytest.mark.parametrize("fields", [
+    {"terms": [{"coeff": "1"}]}, {"terms": "abc"}, {"terms": 5},
+    {"terms": [{"coeff": "1", "tuple": "01"}]}, {"terms": [{"coeff": 1, "tuple": ["0"]}]},
+    {"terms": [["1", ["0"]]]}, {"arity": "1"}, {"arity": 1.5}, {"arity": True},
+])
+def test_malformed_vector_exit_2(files, capsys, tmp_path, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(X_MINUS, **fields)))
+    _, g, _ = files
+    input_error(["decide", "--target", bad, "--gens", g], capsys)
+
+
+def test_decision_fields_must_have_their_json_types(capsys, tmp_path):
+    # target support {0, 1}, so "01" read character by character would
+    # name the same parameters and verify
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(GEN[0]))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(GEN))
+    code, out = run_cli(["decide", "--target", t, "--gens", g], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["paramSet"] == ["0", "1"]
+    for bad in ({"paramSet": "01"}, {"paramSet": ["0", 1]}, {"member": "true"},
+                {"repCount": payload["repCount"] + 0.5}, {"repCount": str(payload["repCount"])}):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(dict(payload, **bad)))
+        input_error(["verify", "--decision", d, "--target", t, "--gens", g], capsys)
+
+
+def test_negative_budgets_exit_2(files, capsys):
+    t, g, _ = files
+    input_error(["decide", "--target", t, "--gens", g, "--witness-budget", "-1"], capsys)
+    input_error(["oracle-check", "--target", t, "--gens", g, "--max-grid", "-3"], capsys)
+
+
+def test_huge_prime_modulus_terminates(files, capsys):
+    t, g, _ = files
+    code, out = run_cli(["decide", "--target", t, "--gens", g, "--ring", "GF(2305843009213693951)"],
+                        capsys)
+    assert code == 0 and json.loads(out)["member"] is True
+    input_error(["decide", "--target", t, "--gens", g, "--ring", f"GF({2**89 - 1})"], capsys)
+
+
 def test_missing_file_exit_2(files, capsys):
     _, g, _ = files
     code = main(["decide", "--target", "/nonexistent.json", "--gens", str(g)])

@@ -37,6 +37,23 @@ def test_is_prime_small():
     assert {n for n in range(50) if is_prime(n)} == primes
 
 
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(10**5))
+
+
+def test_is_prime_large_and_pseudoprimes():
+    assert is_prime(2**61 - 1)
+    assert RingSpec.from_name("GF(2305843009213693951)").p == 2**61 - 1
+    # Carmichael numbers and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    with pytest.raises(RingError):
+        GF(2**89 - 1)  # prime, but beyond the range the test is exact on
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(RingError):
         RingSpec("R")
