@@ -17,7 +17,6 @@ from permod.decide import (
     reduct_membership,
     verify_certificate,
 )
-from permod.kernels import BACKEND as KERNEL_BACKEND
 from permod.oracle import (
     Grid,
     Instance,
@@ -34,7 +33,6 @@ from permod.pmod import (
     is_aug_zero,
     omega,
     omega_empty,
-    orbit_reps_over,
     support_points,
 )
 from permod.ring import GF, QQ, ZZ, CharacterQZ, ExactMatrix, RingError, RingSpec
@@ -43,9 +41,8 @@ from permod.structure import (
     DenseLinearOrder,
     ParamSet,
     PatternKey,
-    Placement,
     ReductSpec,
-    StructureOracle,
 )
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "pure-python"  # the one row-kernel set, in permod.linalg

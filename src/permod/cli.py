@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, params=False, witness=False):
-        p.add_argument("--structure", choices=["dlo", "pure-set"], default="dlo")
+    def common(p, structure=False, params=False, witness=False):
+        if structure:
+            p.add_argument("--structure", choices=["dlo", "pure-set"], default="dlo")
         p.add_argument("--ring", help="coerce vectors into this ring (Q, Z, GF(p))")
         if params:
             p.add_argument("--params", help='parameter points, e.g. "0,2" (optional)')
@@ -265,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True)
     p.add_argument("--emit-certificate", metavar="FILE",
                    help="also write the decision JSON to FILE")
-    common(p, params=True, witness=True)
+    common(p, structure=True, params=True, witness=True)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="re-check an emitted decision from scratch")
     p.add_argument("--decision", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--gens", required=True)
-    common(p)
+    common(p, structure=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("omega", help="orbitwise coefficient sums of a vector")

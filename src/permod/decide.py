@@ -47,7 +47,7 @@ from permod.pmod import (
     support_points,
 )
 from permod.ring import CharacterQZ, RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, ReductSpec, StructureOracle, gap_values, parse_point
+from permod.structure import DLO, ParamSet, ReductSpec, gap_values, parse_point
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,16 @@ def _dedup_orbits(generators: Sequence[ModVector]) -> list[ModVector]:
     return list(kept.values())
 
 
-def _stream(generators: Sequence[ModVector], params: ParamSet, oracle: StructureOracle):
+def _stream(generators: Sequence[ModVector], params: ParamSet):
     """(generator, slot map, omega row) for every placement, in order."""
     for g in generators:
-        for slot_map, row in placed_rows(g, params, oracle):
+        for slot_map, row in placed_rows(g, params):
             yield g, slot_map, row
 
 
-def _rep_count(generators: Sequence[ModVector], params: ParamSet, oracle: StructureOracle) -> int:
+def _rep_count(generators: Sequence[ModVector], params: ParamSet) -> int:
     return sum(
-        oracle.placement_count(len(support_points(g).points), params.size) for g in generators
+        DLO.placement_count(len(support_points(g).points), params.size) for g in generators
     )
 
 
@@ -152,7 +152,6 @@ def membership(
     *,
     param_set: ParamSet | None = None,
     witness_budget: int = 0,
-    oracle: StructureOracle = DLO,
 ) -> Decision:
     """Decide whether the target lies in the module generated by the given
     vectors under all order automorphisms.
@@ -174,13 +173,13 @@ def membership(
         raise ValueError("parameter set must contain the support points of the target")
 
     gens = _dedup_orbits(generators)
-    rep_count = _rep_count(gens, params, oracle)
-    target_aug = omega(target, params, oracle)
+    rep_count = _rep_count(gens, params)
+    target_aug = omega(target, params)
     engine = make_span(ring)
     first: list = []  # (generator, slot map) of each inserted row
     seen: set = set()
     comb = {} if target_aug.is_zero else None
-    for g, slot_map, row in _stream(gens, params, oracle) if comb is None else ():
+    for g, slot_map, row in _stream(gens, params) if comb is None else ():
         if row.entries in seen:
             continue
         seen.add(row.entries)
@@ -194,13 +193,11 @@ def membership(
 
     if comb is not None:
         terms = tuple(
-            (comb[j], place(*first[j], params, oracle)) for j in sorted(comb) if comb[j] != 0
+            (comb[j], place(*first[j], params)) for j in sorted(comb) if comb[j] != 0
         )
         explicit = None
         if witness_budget:
-            found = _oracle.oracle_membership(
-                target, generators, witness_budget, oracle=oracle
-            )
+            found = _oracle.oracle_membership(target, generators, witness_budget)
             if found.conclusive:
                 explicit = ExplicitWitness(tuple(found.witness))
         cert: Certificate = SpanWitnessCert(terms, explicit)
@@ -228,7 +225,6 @@ def verify_certificate(
     generators: Sequence[ModVector],
     *,
     reduct: ReductSpec | None = None,
-    oracle: StructureOracle = DLO,
 ) -> bool:
     """Recompute the representative count, the certified representatives
     and the coefficient sums from scratch and re-evaluate the certificate
@@ -236,16 +232,16 @@ def verify_certificate(
     try:
         generators = list(generators)
         if reduct is not None and reduct.kind != "none":
-            generators = _reduct_expand(generators, reduct, oracle)
+            generators = _reduct_expand(generators, reduct)
         check_family([target, *generators])
         ring = target.ring
         params = decision.param_set
         if not params.issuperset(support_points(target)):
             return False
         gens = _dedup_orbits(generators)
-        if decision.rep_count != _rep_count(gens, params, oracle):
+        if decision.rep_count != _rep_count(gens, params):
             return False
-        target_aug = omega(target, params, oracle)
+        target_aug = omega(target, params)
         cert = decision.certificate
 
         if decision.member:
@@ -254,15 +250,15 @@ def verify_certificate(
             total = AugVector.from_dict(ring, {})
             for coeff, rep in cert.terms:
                 # rep must be the canonical representative of its placement
-                slots = oracle.pattern_of_tuple(support_points(rep).points, params).slots
+                slots = DLO.pattern_of_tuple(support_points(rep).points, params).slots
                 slot_map = tuple(2 * i + (kind == "param") for kind, i in slots)
                 if ring.is_zero(coeff) or not any(
                     len(support_points(g).points) == len(slot_map)
-                    and place(g, slot_map, params, oracle) == rep
+                    and place(g, slot_map, params) == rep
                     for g in gens
                 ):
                     return False
-                total = total.add(omega(rep, params, oracle).scale(coeff))
+                total = total.add(omega(rep, params).scale(coeff))
             if total != target_aug:
                 return False
             if cert.explicit is not None:
@@ -289,7 +285,7 @@ def verify_certificate(
             total = sum(table[k] * c for k, c in entries if k in table)
             return total % mod if mod else total
 
-        rows = {row.entries for _, _, row in _stream(gens, params, oracle)}
+        rows = {row.entries for _, _, row in _stream(gens, params)}
         return all(pairing(r) == 0 for r in rows) and pairing(target_aug.entries) != 0
     except (ValueError, RingError):
         return False
@@ -306,7 +302,6 @@ def generates_all(
     *,
     ring: RingSpec | None = None,
     arity: int | None = None,
-    oracle: StructureOracle = DLO,
 ) -> GeneratesAll:
     """Do the generators span the whole module?  True exactly when every
     canonical orbit representative is a member."""
@@ -319,17 +314,15 @@ def generates_all(
         raise ValueError("empty generator list needs explicit ring and arity")
     decisions = []
     verdict = True
-    for rep_tuple in oracle.canonical_orbit_reps(arity):
+    for rep_tuple in DLO.canonical_orbit_reps(arity):
         w = ModVector.from_terms(ring, arity, [(rep_tuple, ring.one())])
-        d = membership(w, generators, oracle=oracle)
+        d = membership(w, generators)
         decisions.append((w, d))
         verdict = verdict and d.member
     return GeneratesAll(verdict, tuple(decisions))
 
 
-def min_support(
-    generators: Sequence[ModVector], k: int, *, oracle: StructureOracle = DLO
-) -> ModVector | None:
+def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     """A nonzero module element with at most k basis tuples, or None.
 
     Every orbit of k-element tuple sets has a representative with all
@@ -350,9 +343,9 @@ def min_support(
 
     # distinct rows span the same space and give the same canonical
     # (reduced or Hermite) basis as all of them
-    rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params, oracle)}
+    rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params)}
 
-    singleton = [(oracle.pattern_of_tuple(t, params).text, t) for t in product(grid, repeat=n)]
+    singleton = [(DLO.pattern_of_tuple(t, params).text, t) for t in product(grid, repeat=n)]
 
     keys = sorted(
         {k_ for entries in rows for k_, _ in entries}
@@ -380,13 +373,11 @@ def min_support(
     return None
 
 
-def _reduct_expand(
-    generators: Sequence[ModVector], reduct: ReductSpec, oracle: StructureOracle
-) -> list[ModVector]:
+def _reduct_expand(generators: Sequence[ModVector], reduct: ReductSpec) -> list[ModVector]:
     expanded = []
     for g in generators:
         pts = support_points(g).points
-        for mapping in oracle.reduct_expansions(pts, reduct):
+        for mapping in DLO.reduct_expansions(pts, reduct):
             expanded.append(relabel(g, mapping))
     return expanded
 
@@ -397,16 +388,13 @@ def reduct_membership(
     reduct: ReductSpec,
     *,
     witness_budget: int = 0,
-    oracle: StructureOracle = DLO,
 ) -> Decision:
     """Membership under the permutation group of the pure set: expand each
     generator by all re-orderings of its support, then decide as usual."""
     generators = list(generators)
     check_family([target, *generators])
-    expanded = _reduct_expand(generators, reduct, oracle)
-    return membership(
-        target, expanded, witness_budget=witness_budget, oracle=oracle
-    )
+    expanded = _reduct_expand(generators, reduct)
+    return membership(target, expanded, witness_budget=witness_budget)
 
 
 @dataclass(frozen=True)
@@ -416,9 +404,7 @@ class CyclicResult:
     back: Decision
 
 
-def cyclic_generator(
-    generators: Sequence[ModVector], *, oracle: StructureOracle = DLO
-) -> CyclicResult:
+def cyclic_generator(generators: Sequence[ModVector]) -> CyclicResult:
     """A single vector generating the same module as the given family.
 
     Each generator is moved into its own convex block (2i, 2i+1) and the
@@ -434,7 +420,7 @@ def cyclic_generator(
     if not ring.is_field:
         raise RingError("cyclic generator synthesis needs a field")
     for g in generators:
-        if not is_aug_zero(g, oracle):
+        if not is_aug_zero(g):
             raise ValueError(f"generator {g} has a nonzero coefficient sum on some orbit")
 
     x = ModVector.zero(ring, generators[0].arity)
@@ -445,11 +431,11 @@ def cyclic_generator(
 
     into = []
     for g in generators:
-        d = membership(g, [x], oracle=oracle)
+        d = membership(g, [x])
         if not d.member:
             raise VerificationError("a generator is not in the cyclic module", d)
         into.append(d)
-    back = membership(x, generators, oracle=oracle)
+    back = membership(x, generators)
     if not back.member:
         raise VerificationError("the combined vector left the original module", back)
     return CyclicResult(x, tuple(into), back)

@@ -16,17 +16,9 @@ needed to build an independently checkable witness:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from permod.kernels import (
-    axpy_int,
-    axpy_mod,
-    axpy_q,
-    rowpair_int,
-    scale_mod,
-    scale_q,
-)
 from permod.ring import (
     INTEGERS,
     PRIME_FIELD,
@@ -40,6 +32,115 @@ from permod.ring import (
 )
 
 Pairs = Iterable[tuple[int, Scalar]]
+
+
+# -- sparse-row kernels --------------------------------------------------------
+# Rows are dicts mapping column index to a nonzero value.  Rational rows
+# carry their entries as integer numerators over a single positive
+# denominator, so every kernel here is integer-only.
+
+
+def axpy_mod(dst: dict, src: dict, c: int, p: int) -> None:
+    # dst += c * src (mod p), dropping zero entries.
+    c %= p
+    if c == 0:
+        return
+    for k, v in src.items():
+        w = (dst.get(k, 0) + c * v) % p
+        if w:
+            dst[k] = w
+        elif k in dst:
+            del dst[k]
+
+
+def scale_mod(row: dict, c: int, p: int) -> None:
+    # row *= c (mod p); c must be a unit.
+    for k in list(row):
+        row[k] = row[k] * c % p
+
+
+def axpy_int(dst: dict, src: dict, c: int) -> None:
+    # dst += c * src over Z.
+    if c == 0:
+        return
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if w:
+            dst[k] = w
+        elif k in dst:
+            del dst[k]
+
+
+def rowpair_int(ra: dict, rb: dict, x: int, y: int, u: int, v: int) -> None:
+    # (ra, rb) <- (x*ra + y*rb, u*ra + v*rb); used for gcd pivot steps.
+    keys = set(ra)
+    keys.update(rb)
+    for k in keys:
+        a = ra.get(k, 0)
+        b = rb.get(k, 0)
+        na = x * a + y * b
+        nb = u * a + v * b
+        if na:
+            ra[k] = na
+        elif k in ra:
+            del ra[k]
+        if nb:
+            rb[k] = nb
+        elif k in rb:
+            del rb[k]
+
+
+def row_gcd(nums: dict, den: int) -> int:
+    # gcd of den and all numerators (den > 0 so the result is positive).
+    g = den
+    for v in nums.values():
+        g = gcd(g, v)
+        if g == 1:
+            return 1
+    return g
+
+
+def axpy_q(dst: dict, dden: int, src: dict, sden: int, cn: int, cd: int) -> int:
+    """dst/dden += (cn/cd) * src/sden; returns the new denominator.
+
+    All denominators must be positive.  The result row is renormalised so
+    gcd(den, numerators) = 1.
+    """
+    if cn == 0:
+        return dden
+    a = cd * sden
+    b = cn * dden
+    if a != 1:
+        for k in dst:
+            dst[k] *= a
+    for k, v in src.items():
+        w = dst.get(k, 0) + b * v
+        if w:
+            dst[k] = w
+        elif k in dst:
+            del dst[k]
+    den = dden * a
+    g = row_gcd(dst, den)
+    if g > 1:
+        for k in dst:
+            dst[k] //= g
+        den //= g
+    return den
+
+
+def scale_q(nums: dict, den: int, cn: int, cd: int) -> int:
+    """nums/den *= cn/cd (cn nonzero); returns the new denominator."""
+    if cd < 0:
+        cn, cd = -cn, -cd
+    for k in nums:
+        nums[k] *= cn
+    den *= cd
+    g = row_gcd(nums, den)
+    if g > 1:
+        for k in nums:
+            nums[k] //= g
+        den //= g
+    return den
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -26,7 +26,7 @@ from permod.pmod import (
     translate_onto,
 )
 from permod.ring import QQ, RingSpec, Scalar
-from permod.structure import DLO, StructureOracle, gap_values
+from permod.structure import gap_values
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,6 @@ def oracle_membership(
     target: ModVector,
     generators: Sequence[ModVector],
     max_grid: int,
-    *,
-    oracle: StructureOracle = DLO,
 ) -> OracleResult:
     """Search growing integer grids for an explicit witness.
 
@@ -230,10 +228,7 @@ def random_instance(seed: int, profile: InstanceProfile = InstanceProfile()) -> 
                 )
                 for _ in range(count)
             ]
-            try:
-                v = ModVector.from_terms(ring, n, items)
-            except Exception:
-                continue
+            v = ModVector.from_terms(ring, n, items)
             if not v.is_zero:
                 return v
 

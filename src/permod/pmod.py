@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from permod.ring import RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, StructureOracle, parse_point
+from permod.structure import DLO, ParamSet, parse_point
 
 Tuple_ = tuple[Fraction, ...]
 
@@ -69,9 +69,6 @@ class ModVector:
         return ModVector(
             self.ring, self.arity, tuple((t, self.ring.neg(v)) for t, v in self.terms)
         )
-
-    def sub(self, other: "ModVector") -> "ModVector":
-        return self.add(other.neg())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -217,25 +214,25 @@ def relabel(x: ModVector, mapping: Mapping[Fraction, Fraction]) -> ModVector:
     return ModVector(x.ring, x.arity, tuple(sorted(terms)))
 
 
-def omega(x: ModVector, params: ParamSet, oracle: StructureOracle = DLO) -> AugVector:
+def omega(x: ModVector, params: ParamSet) -> AugVector:
     """Sum the coefficients of x over each orbit of the pointwise
     stabiliser of ``params``, keyed by canonical pattern string."""
     acc: dict[str, Scalar] = {}
     ring = x.ring
     for tup, coeff in x.terms:
-        key = oracle.pattern_of_tuple(tup, params).text
+        key = DLO.pattern_of_tuple(tup, params).text
         acc[key] = ring.add(acc.get(key, ring.zero()), coeff)
     return AugVector.from_dict(ring, acc)
 
 
-def omega_empty(x: ModVector, oracle: StructureOracle = DLO) -> AugVector:
-    return omega(x, ParamSet.empty(), oracle)
+def omega_empty(x: ModVector) -> AugVector:
+    return omega(x, ParamSet.empty())
 
 
-def is_aug_zero(x: ModVector, oracle: StructureOracle = DLO) -> bool:
+def is_aug_zero(x: ModVector) -> bool:
     """True when every orbitwise coefficient sum over the empty parameter
     set vanishes (the kernel of the plain augmentation, orbit by orbit)."""
-    return omega_empty(x, oracle).is_zero
+    return omega_empty(x).is_zero
 
 
 def chain_skeleton(v: ModVector) -> tuple[tuple[Fraction, ...], list]:
@@ -259,42 +256,29 @@ def translate_onto(v_skeleton: list, ring, arity, images: Sequence[Fraction]) ->
     return ModVector(ring, arity, terms)
 
 
-def orbit_reps_over(
-    v: ModVector, params: ParamSet, oracle: StructureOracle = DLO
-) -> list[ModVector]:
-    """One vector per orbit of the parameter stabiliser on the full orbit
-    of v: apply every placement of the support chain of v."""
-    chain, skeleton = chain_skeleton(v)
-    return [
-        translate_onto(skeleton, v.ring, v.arity, placement.images)
-        for placement in oracle.enumerate_placements(chain, params)
-    ]
-
-
-def place(
-    v: ModVector, slot_map: Sequence[int], params: ParamSet, oracle: StructureOracle = DLO
-) -> ModVector:
+def place(v: ModVector, slot_map: Sequence[int], params: ParamSet) -> ModVector:
     """The representative of v at one placement of its support chain."""
     _, skeleton = chain_skeleton(v)
-    return translate_onto(skeleton, v.ring, v.arity, oracle.realize(slot_map, params.points))
+    return translate_onto(skeleton, v.ring, v.arity, DLO.realize(slot_map, params.points))
 
 
-def placed_rows(v: ModVector, params: ParamSet, oracle: StructureOracle = DLO):
+def placed_rows(v: ModVector, params: ParamSet):
     """Lazily yield (slot map, omega of its representative) for every
-    placement of v's support chain, in the order of `orbit_reps_over`,
-    without building representatives: keys come from slots and chain
-    indices, memoised per term and the slots of its indices."""
+    placement of v's support chain, in the lexicographic order of
+    `DLO.slot_maps`, without building representatives: keys come from
+    slots and chain indices, memoised per term and the slots of its
+    indices."""
     chain, skeleton = chain_skeleton(v)
     ring = v.ring
     s = params.size
     terms = [(idxs, coeff, {}) for idxs, coeff in skeleton]
-    for slot_map in oracle.slot_maps(len(chain), s):
+    for slot_map in DLO.slot_maps(len(chain), s):
         acc: dict[str, Scalar] = {}
         for idxs, coeff, keys in terms:
             slots = tuple(map(slot_map.__getitem__, idxs))
             key = keys.get(slots)
             if key is None:
-                key = keys[slots] = oracle.slot_word(idxs, slots, s)
+                key = keys[slots] = DLO.slot_word(idxs, slots, s)
             acc[key] = ring.add(acc[key], coeff) if key in acc else coeff
         yield slot_map, AugVector(ring, tuple(sorted(kv for kv in acc.items() if kv[1] != 0)))
 

@@ -7,10 +7,10 @@ The backend answers two finitary questions about the ordered rationals:
   tuples get equal keys exactly when an order automorphism fixing the
   parameters pointwise maps one to the other.
 
-* `enumerate_placements`: the inequivalent ways a finite chain can sit
-  relative to the parameter chain (each point either equals a parameter
-  or falls in one of the gaps), each with a concrete deterministic
-  realization by fresh rationals.
+* `slot_maps`: the inequivalent ways a finite chain can sit relative to
+  the parameter chain (each point either equals a parameter or falls in
+  one of the gaps), as integer slot maps, counted in closed form by
+  `placement_count` and realised by fresh rationals with `realize`.
 
 The canonical key is a merged weak-order word over tokens ``p<i>``
 (parameters) and ``c<j>`` (tuple coordinates), e.g. ``p0<c1=c0<p1``.
@@ -19,7 +19,6 @@ Keys compare as plain strings.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,15 +98,6 @@ class PatternKey:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """A monotone assignment of a source chain into slots, realized."""
-
-    source: tuple[Fraction, ...]
-    slots: tuple[Slot, ...]
-    images: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ReductSpec:
     """Group choice: "none" keeps the order automorphisms, "pure-set"
     passes to all permutations of the underlying set."""
@@ -154,59 +144,16 @@ def merged_word(ppos: Sequence, cpos: Sequence) -> str:
     return "".join(parts)
 
 
-class StructureOracle(ABC):
-    """Contract a homogeneous-structure backend must satisfy.
+class DenseLinearOrder:
+    """The ordered rationals.
 
-    `pattern_of_tuple` must be constant on orbits of the pointwise
-    parameter stabiliser and separate them.  A placement of an m-chain
-    over s parameters is a slot map: slot k of 0..2s is gap k//2 when even
-    and parameter (k-1)//2 when odd.  `slot_maps` must list each placement
-    once, and `realize` and `slot_word` must agree with `pattern_of_tuple`
-    on it.
+    `pattern_of_tuple` is constant on orbits of the pointwise parameter
+    stabiliser and separates them.  A placement of an m-chain over s
+    parameters is a slot map: slot k of 0..2s is gap k//2 when even and
+    parameter (k-1)//2 when odd; a slot map is non-decreasing and puts at
+    most one point on a parameter.  `realize` and `slot_word` agree with
+    `pattern_of_tuple` on every placement.
     """
-
-    @abstractmethod
-    def pattern_of_tuple(self, w: Sequence[Fraction], params: ParamSet) -> PatternKey: ...
-
-    @abstractmethod
-    def slot_maps(self, m: int, s: int) -> Iterator[tuple[int, ...]]: ...
-
-    @abstractmethod
-    def placement_count(self, m: int, s: int) -> int: ...
-
-    @abstractmethod
-    def realize(
-        self, slot_map: Sequence[int], points: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]: ...
-
-    @abstractmethod
-    def slot_word(self, idxs: Sequence[int], slots: Sequence[int], s: int) -> str: ...
-
-    def enumerate_placements(
-        self, source_points: Sequence[Fraction], params: ParamSet
-    ) -> list[Placement]:
-        source = tuple(Fraction(x) for x in source_points)
-        for a, b in zip(source, source[1:]):
-            if a >= b:
-                raise ValueError("source points must be strictly increasing")
-        return [
-            Placement(source, tuple((("gap", "param")[k & 1], k // 2) for k in slot_map),
-                      self.realize(slot_map, params.points))
-            for slot_map in self.slot_maps(len(source), params.size)
-        ]
-
-    @abstractmethod
-    def canonical_orbit_reps(self, n: int) -> list[tuple[Fraction, ...]]: ...
-
-    @abstractmethod
-    def reduct_expansions(
-        self, points: Sequence[Fraction], reduct: ReductSpec
-    ) -> list[dict[Fraction, Fraction]]: ...
-
-
-class DenseLinearOrder(StructureOracle):
-    """The ordered rationals; a slot map is non-decreasing and puts at most
-    one point on a parameter."""
 
     def pattern_of_tuple(self, w: Sequence[Fraction], params: ParamSet) -> PatternKey:
         pts = params.points

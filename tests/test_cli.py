@@ -317,6 +317,24 @@ def test_pure_set_structure_flag(files, capsys, tmp_path):
     assert code == 0 and json.loads(out)["member"] is False
 
 
+def test_structure_flag_only_on_decide_and_verify(files, capsys):
+    """The other subcommands answer the order question only, so they must
+    reject --structure rather than ignore it."""
+    t, g, _ = files
+    for argv in (
+        ["omega", "--target", t],
+        ["generates-all", "--gens", g],
+        ["min-support", "--gens", g, "--k", "1"],
+        ["cyclic", "--gens", g],
+        ["oracle-check", "--target", t, "--gens", g],
+        ["chain", g, g],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv] + ["--structure", "pure-set"])
+        assert exc.value.code == 2
+        assert "--structure" in capsys.readouterr().err
+
+
 def test_pure_set_verify_round_trip(capsys, tmp_path):
     target = tmp_path / "t.json"
     gens = tmp_path / "gs.json"

@@ -8,6 +8,7 @@ implementation under test.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,14 @@ from hypothesis import strategies as st
 
 from permod.linalg import (
     IntegerSpan,
+    axpy_int,
+    axpy_mod,
+    axpy_q,
     dual_character,
     dual_functional,
+    rowpair_int,
+    scale_mod,
+    scale_q,
     smith_with_colops,
     span_intersect_coords,
     span_membership,
@@ -194,6 +201,79 @@ def test_character_separates_randomized():
         for g in gens:
             assert chi.annihilates(g)
         assert chi.value(target) != 0
+
+
+# -- row kernels -------------------------------------------------------------
+
+sparse_rows = st.dictionaries(st.integers(0, 7), st.integers(-30, 30).filter(bool), max_size=6)
+
+
+def lowest_terms(row: dict, den: int) -> tuple[dict, int]:
+    g = gcd(den, *row.values())
+    return {k: v // g for k, v in row.items()}, den // g
+
+
+@given(
+    sparse_rows,
+    sparse_rows,
+    st.sampled_from([2, 3, 5, 97]),
+    st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(-6, 6),
+    st.integers(1, 6),
+    st.sampled_from([-4, -1, 1, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_match_plain_arithmetic(a, b, p, xyuv, aden, bden, cn, cd, sd):
+    """Every row kernel equals entrywise int / Fraction arithmetic, stores
+    no zero entry, and leaves a rational row over a positive denominator
+    that is coprime to its numerators."""
+    cols = set(a) | set(b)
+    c = xyuv[0]
+
+    def expect(f):
+        return {k: f(k) for k in cols if f(k)}
+
+    def stored(row, want):
+        assert 0 not in row.values()
+        assert row == want
+
+    # mod p: rows hold residues 1..p-1, as the field engines keep them
+    am = {k: v % p for k, v in a.items() if v % p}
+    bm = {k: v % p for k, v in b.items() if v % p}
+    row = dict(am)
+    axpy_mod(row, bm, c, p)
+    stored(row, expect(lambda k: (am.get(k, 0) + c * bm.get(k, 0)) % p))
+    unit = c % p or 1
+    row = dict(am)
+    scale_mod(row, unit, p)
+    stored(row, expect(lambda k: am.get(k, 0) * unit % p))
+
+    row = dict(a)
+    axpy_int(row, b, c)
+    stored(row, expect(lambda k: a.get(k, 0) + c * b.get(k, 0)))
+    x, y, u, v = xyuv
+    ra, rb = dict(a), dict(b)
+    rowpair_int(ra, rb, x, y, u, v)
+    stored(ra, expect(lambda k: x * a.get(k, 0) + y * b.get(k, 0)))
+    stored(rb, expect(lambda k: u * a.get(k, 0) + v * b.get(k, 0)))
+
+    # rationals: numerators over one denominator, in lowest terms on input
+    aq, aden = lowest_terms(a, aden)
+    bq, bden = lowest_terms(b, bden)
+    row = dict(aq)
+    den = axpy_q(row, aden, bq, bden, cn, cd)
+    assert den > 0 and gcd(den, *row.values()) == 1
+    stored({k: Fraction(n, den) for k, n in row.items()},
+           expect(lambda k: Fraction(aq.get(k, 0), aden)
+                  + Fraction(cn, cd) * Fraction(bq.get(k, 0), bden)))
+    sn = cn or 1
+    prev = {k: Fraction(n, den) for k, n in row.items()}
+    den = scale_q(row, den, sn, sd)
+    assert den > 0 and gcd(den, *row.values()) == 1
+    stored({k: Fraction(n, den) for k, n in row.items()},
+           {k: q * Fraction(sn, sd) for k, q in prev.items()})
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -13,7 +13,7 @@ from permod.oracle import (
     random_instance,
 )
 from permod.pmod import ModVector, support_points
-from permod.ring import GF, QQ, ZZ
+from permod.ring import GF, QQ, ZZ, RingError
 
 
 def vec(ring, arity, items):
@@ -114,6 +114,11 @@ def test_random_instances_respect_profile():
             assert len(v.terms) <= prof.max_support * 4  # combination of few translates
             for p in support_points(v).points:
                 assert 0 <= p < prof.point_pool
+
+
+def test_random_instance_rejects_coefficients_outside_the_ring():
+    with pytest.raises(RingError):
+        random_instance(0, InstanceProfile(ring=ZZ, coeff_pool=(Fraction(1, 2),)))
 
 
 def test_planted_instances_are_members():

