@@ -14,7 +14,7 @@ from permod.decide import (
     generates_all,
     membership,
     min_support,
-    reduct_membership,
+    pure_set_expand,
     verify_certificate,
 )
 from permod.oracle import (
@@ -30,19 +30,11 @@ from permod.pmod import (
     AugVector,
     ModVector,
     act,
-    is_aug_zero,
     omega,
-    omega_empty,
     support_points,
 )
-from permod.ring import GF, QQ, ZZ, CharacterQZ, ExactMatrix, RingError, RingSpec
-from permod.structure import (
-    DLO,
-    DenseLinearOrder,
-    ParamSet,
-    PatternKey,
-    ReductSpec,
-)
+from permod.ring import GF, QQ, ZZ, CharacterQZ, RingError, RingSpec
+from permod.structure import ParamSet
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "pure-python"  # the one row-kernel set, in permod.linalg

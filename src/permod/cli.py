@@ -21,11 +21,18 @@ from permod import decide as dec
 from permod import oracle as orc
 from permod.pmod import ModVector, omega, support_points
 from permod.ring import QQ, RingError, RingSpec
-from permod.structure import ParamSet, ReductSpec, parse_point
+from permod.structure import ParamSet, parse_point
 
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with the one line every other input error gets."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _dump(obj) -> str:
@@ -40,6 +47,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _load_target(path: str, ring: RingSpec | None) -> ModVector:
@@ -74,10 +83,6 @@ def _ring_arg(args) -> RingSpec | None:
     return RingSpec.from_name(args.ring) if args.ring else None
 
 
-def _reduct_arg(args) -> ReductSpec:
-    return ReductSpec("pure-set" if args.structure == "pure-set" else "none")
-
-
 def _emit(args, payload: dict) -> None:
     text = _dump(payload)
     print(text)
@@ -89,19 +94,15 @@ def cmd_decide(args) -> int:
     ring = _ring_arg(args)
     target = _load_target(args.target, ring)
     gens = _load_generators(args.gens, ring)
-    reduct = _reduct_arg(args)
     params = _parse_params(args.params) if args.params is not None else None
-    if reduct.kind == "pure-set":
+    if args.structure == "pure-set":
         if params is not None:
             raise InputError("--params is only supported with --structure dlo")
-        decision = dec.reduct_membership(
-            target, gens, reduct, witness_budget=args.witness_budget
-        )
-    else:
-        decision = dec.membership(
-            target, gens, param_set=params, witness_budget=args.witness_budget
-        )
-    if not dec.verify_certificate(decision, target, gens, reduct=reduct):
+        gens = dec.pure_set_expand(gens)
+    decision = dec.membership(
+        target, gens, param_set=params, witness_budget=args.witness_budget
+    )
+    if not dec.verify_certificate(decision, target, gens):
         print("internal error: certificate failed re-verification", file=sys.stderr)
         return 3
     _emit(args, dec.decision_to_json(decision))
@@ -112,12 +113,14 @@ def cmd_verify(args) -> int:
     ring = _ring_arg(args)
     target = _load_target(args.target, ring)
     gens = _load_generators(args.gens, ring)
+    if args.structure == "pure-set":
+        gens = dec.pure_set_expand(gens)
     obj = _load_json(args.decision)
     try:
         decision = dec.decision_from_json(obj, target.ring)
     except (ValueError, RingError) as exc:
         raise InputError(f"{args.decision}: {exc}") from None
-    ok = dec.verify_certificate(decision, target, gens, reduct=_reduct_arg(args))
+    ok = dec.verify_certificate(decision, target, gens)
     print(_dump({"verified": ok}))
     return 0 if ok else 3
 
@@ -244,7 +247,7 @@ def cmd_random_instance(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permod",
         description="decide membership in finitely generated order-invariant "
         "submodules of permutation modules, with certificates",

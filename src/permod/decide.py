@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import lcm
 from typing import Sequence
 
 from permod import oracle as _oracle
@@ -38,7 +39,6 @@ from permod.pmod import (
     ModVector,
     act,
     check_family,
-    is_aug_zero,
     omega,
     orbit_canonical_form,
     place,
@@ -46,8 +46,16 @@ from permod.pmod import (
     relabel,
     support_points,
 )
-from permod.ring import CharacterQZ, RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, ReductSpec, gap_values, parse_point
+from permod.ring import RingError, RingSpec, Scalar
+from permod.structure import (
+    ParamSet,
+    canonical_orbit_reps,
+    gap_values,
+    parse_point,
+    pattern_of_tuple,
+    placement_count,
+    slot_map_of,
+)
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ class CharacterCert:
 
     @property
     def denominator(self) -> int:
-        return CharacterQZ(tuple(v for _, v in self.values)).denominator
+        return lcm(*(v.denominator for _, v in self.values))
 
 
 Certificate = SpanWitnessCert | FunctionalCert | CharacterCert
@@ -142,7 +150,7 @@ def _stream(generators: Sequence[ModVector], params: ParamSet):
 
 def _rep_count(generators: Sequence[ModVector], params: ParamSet) -> int:
     return sum(
-        DLO.placement_count(len(support_points(g).points), params.size) for g in generators
+        placement_count(len(support_points(g).points), params.size) for g in generators
     )
 
 
@@ -223,16 +231,12 @@ def verify_certificate(
     decision: Decision,
     target: ModVector,
     generators: Sequence[ModVector],
-    *,
-    reduct: ReductSpec | None = None,
 ) -> bool:
     """Recompute the representative count, the certified representatives
     and the coefficient sums from scratch and re-evaluate the certificate
     identities.  False signals a defect."""
     try:
         generators = list(generators)
-        if reduct is not None and reduct.kind != "none":
-            generators = _reduct_expand(generators, reduct)
         check_family([target, *generators])
         ring = target.ring
         params = decision.param_set
@@ -250,8 +254,7 @@ def verify_certificate(
             total = AugVector.from_dict(ring, {})
             for coeff, rep in cert.terms:
                 # rep must be the canonical representative of its placement
-                slots = DLO.pattern_of_tuple(support_points(rep).points, params).slots
-                slot_map = tuple(2 * i + (kind == "param") for kind, i in slots)
+                slot_map = slot_map_of(support_points(rep).points, params.points)
                 if ring.is_zero(coeff) or not any(
                     len(support_points(g).points) == len(slot_map)
                     and place(g, slot_map, params) == rep
@@ -314,7 +317,7 @@ def generates_all(
         raise ValueError("empty generator list needs explicit ring and arity")
     decisions = []
     verdict = True
-    for rep_tuple in DLO.canonical_orbit_reps(arity):
+    for rep_tuple in canonical_orbit_reps(arity):
         w = ModVector.from_terms(ring, arity, [(rep_tuple, ring.one())])
         d = membership(w, generators)
         decisions.append((w, d))
@@ -345,7 +348,7 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     # (reduced or Hermite) basis as all of them
     rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params)}
 
-    singleton = [(DLO.pattern_of_tuple(t, params).text, t) for t in product(grid, repeat=n)]
+    singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
 
     keys = sorted(
         {k_ for entries in rows for k_, _ in entries}
@@ -373,28 +376,19 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     return None
 
 
-def _reduct_expand(generators: Sequence[ModVector], reduct: ReductSpec) -> list[ModVector]:
+def pure_set_expand(generators: Sequence[ModVector]) -> list[ModVector]:
+    """Each generator relabelled by every permutation of its support.
+
+    The module these generate under the order automorphisms is the one
+    the originals generate under all permutations of the rationals (the
+    pure-set reduct), so `membership` and `verify_certificate` against
+    the expansion answer the pure-set question.
+    """
     expanded = []
     for g in generators:
         pts = support_points(g).points
-        for mapping in DLO.reduct_expansions(pts, reduct):
-            expanded.append(relabel(g, mapping))
+        expanded.extend(relabel(g, dict(zip(pts, img))) for img in permutations(pts))
     return expanded
-
-
-def reduct_membership(
-    target: ModVector,
-    generators: Sequence[ModVector],
-    reduct: ReductSpec,
-    *,
-    witness_budget: int = 0,
-) -> Decision:
-    """Membership under the permutation group of the pure set: expand each
-    generator by all re-orderings of its support, then decide as usual."""
-    generators = list(generators)
-    check_family([target, *generators])
-    expanded = _reduct_expand(generators, reduct)
-    return membership(target, expanded, witness_budget=witness_budget)
 
 
 @dataclass(frozen=True)
@@ -420,7 +414,7 @@ def cyclic_generator(generators: Sequence[ModVector]) -> CyclicResult:
     if not ring.is_field:
         raise RingError("cyclic generator synthesis needs a field")
     for g in generators:
-        if not is_aug_zero(g):
+        if not omega(g, ParamSet.empty()).is_zero:
             raise ValueError(f"generator {g} has a nonzero coefficient sum on some orbit")
 
     x = ModVector.zero(ring, generators[0].arity)

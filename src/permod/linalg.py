@@ -24,7 +24,6 @@ from permod.ring import (
     PRIME_FIELD,
     RATIONALS,
     CharacterQZ,
-    ExactMatrix,
     RingError,
     RingSpec,
     Scalar,
@@ -501,12 +500,10 @@ def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
 
 def _check_shapes(target: Sequence, generators: Sequence[Sequence], ring: RingSpec):
     tgt = [ring.normalize(v) for v in target]
-    if not generators:
-        return tgt, []
-    mat = ExactMatrix.from_rows(ring, generators)
-    if mat.n_cols != len(tgt):
+    gens = [[ring.normalize(v) for v in row] for row in generators]
+    if any(len(row) != len(tgt) for row in gens):
         raise RingError("generator/target length mismatch")
-    return tgt, [list(row) for row in mat.rows]
+    return tgt, gens
 
 
 def span_membership(target: Sequence, generators: Sequence[Sequence], ring: RingSpec):

@@ -190,6 +190,14 @@ class InstanceProfile:
     ring: RingSpec = QQ
     point_pool: int = 4
 
+    def __post_init__(self) -> None:
+        for name in ("arity", "max_support", "point_pool"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        # otherwise every drawn vector is zero and drawing never ends
+        if all(self.ring.is_zero(self.ring.normalize(c)) for c in self.coeff_pool):
+            raise ValueError(f"coeff_pool holds no coefficient nonzero in {self.ring.name}")
+
     def to_json(self) -> dict:
         return {
             "arity": self.arity,

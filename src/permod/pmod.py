@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from permod.ring import RingError, RingSpec, Scalar
-from permod.structure import DLO, ParamSet, parse_point
+from permod.structure import ParamSet, parse_point, pattern_of_tuple, realize, slot_maps, slot_word
 
 Tuple_ = tuple[Fraction, ...]
 
@@ -201,8 +201,8 @@ def act(x: ModVector, mapping: Mapping[Fraction, Fraction]) -> ModVector:
 def relabel(x: ModVector, mapping: Mapping[Fraction, Fraction]) -> ModVector:
     """Apply an arbitrary injective point map (no order requirement).
 
-    Used for set-reduct expansions, where orbit representatives arise from
-    re-orderings of the support.
+    Used by the pure-set expansion, where orbit representatives arise
+    from re-orderings of the support.
     """
     mapping = {Fraction(k): Fraction(v) for k, v in mapping.items()}
     if len(set(mapping.values())) != len(mapping):
@@ -220,19 +220,9 @@ def omega(x: ModVector, params: ParamSet) -> AugVector:
     acc: dict[str, Scalar] = {}
     ring = x.ring
     for tup, coeff in x.terms:
-        key = DLO.pattern_of_tuple(tup, params).text
+        key = pattern_of_tuple(tup, params)
         acc[key] = ring.add(acc.get(key, ring.zero()), coeff)
     return AugVector.from_dict(ring, acc)
-
-
-def omega_empty(x: ModVector) -> AugVector:
-    return omega(x, ParamSet.empty())
-
-
-def is_aug_zero(x: ModVector) -> bool:
-    """True when every orbitwise coefficient sum over the empty parameter
-    set vanishes (the kernel of the plain augmentation, orbit by orbit)."""
-    return omega_empty(x).is_zero
 
 
 def chain_skeleton(v: ModVector) -> tuple[tuple[Fraction, ...], list]:
@@ -259,26 +249,26 @@ def translate_onto(v_skeleton: list, ring, arity, images: Sequence[Fraction]) ->
 def place(v: ModVector, slot_map: Sequence[int], params: ParamSet) -> ModVector:
     """The representative of v at one placement of its support chain."""
     _, skeleton = chain_skeleton(v)
-    return translate_onto(skeleton, v.ring, v.arity, DLO.realize(slot_map, params.points))
+    return translate_onto(skeleton, v.ring, v.arity, realize(slot_map, params.points))
 
 
 def placed_rows(v: ModVector, params: ParamSet):
     """Lazily yield (slot map, omega of its representative) for every
     placement of v's support chain, in the lexicographic order of
-    `DLO.slot_maps`, without building representatives: keys come from
+    `slot_maps`, without building representatives: keys come from
     slots and chain indices, memoised per term and the slots of its
     indices."""
     chain, skeleton = chain_skeleton(v)
     ring = v.ring
     s = params.size
     terms = [(idxs, coeff, {}) for idxs, coeff in skeleton]
-    for slot_map in DLO.slot_maps(len(chain), s):
+    for slot_map in slot_maps(len(chain), s):
         acc: dict[str, Scalar] = {}
         for idxs, coeff, keys in terms:
             slots = tuple(map(slot_map.__getitem__, idxs))
             key = keys.get(slots)
             if key is None:
-                key = keys[slots] = DLO.slot_word(idxs, slots, s)
+                key = keys[slots] = slot_word(idxs, slots, s)
             acc[key] = ring.add(acc[key], coeff) if key in acc else coeff
         yield slot_map, AugVector(ring, tuple(sorted(kv for kv in acc.items() if kv[1] != 0)))
 

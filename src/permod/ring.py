@@ -145,20 +145,6 @@ class RingSpec:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def inv(self, a: Scalar) -> Scalar:
-        if self.kind == PRIME_FIELD:
-            if a % self.p == 0:
-                raise RingError("division by zero")
-            return pow(a, -1, self.p)
-        if self.kind == RATIONALS:
-            if a == 0:
-                raise RingError("division by zero")
-            return 1 / Fraction(a)
-        raise RingError("Z is not a field; no inverses")
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- text form ----------------------------------------------------------
 
     def format(self, value: Scalar) -> str:
@@ -221,33 +207,6 @@ class CharacterQZ:
     @property
     def denominator(self) -> int:
         return lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix of canonical scalars over a single ring."""
-
-    ring: RingSpec
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    @classmethod
-    def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
-        norm = tuple(tuple(ring.normalize(v) for v in row) for row in rows)
-        widths = {len(r) for r in norm}
-        if len(widths) > 1:
-            raise RingError("ragged matrix rows")
-        return cls(ring, norm)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.rows)
 
 
 def primitive_int_vector(values: Sequence[Fraction]) -> list[int]:

@@ -7,7 +7,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from permod.pmod import ModVector, chain_skeleton, translate_onto
-from permod.structure import DLO, ParamSet, Slot
+from permod.structure import ParamSet, realize, slot_maps
+
+Slot = tuple[str, int]  # ("param", i) or ("gap", i)
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,8 @@ def enumerate_placements(source_points: Sequence[Fraction], params: ParamSet) ->
             raise ValueError("source points must be strictly increasing")
     return [
         Placement(tuple((("gap", "param")[k & 1], k // 2) for k in slot_map),
-                  DLO.realize(slot_map, params.points))
-        for slot_map in DLO.slot_maps(len(source), params.size)
+                  realize(slot_map, params.points))
+        for slot_map in slot_maps(len(source), params.size)
     ]
 
 

@@ -1,10 +1,14 @@
 """CLI surface: exit codes, canonical output, round trips."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permod.cli import main
 
@@ -216,6 +220,32 @@ def test_huge_prime_modulus_terminates(files, capsys):
     input_error(["decide", "--target", t, "--gens", g, "--ring", f"GF({2**89 - 1})"], capsys)
 
 
+def test_usage_errors_print_one_line(files, capsys):
+    t, g, _ = files
+    for argv in (
+        ["decide", "--target", t],
+        ["generates-all", "--gens", g, "--structure", "pure-set"],
+        ["decide", "--target", t, "--gens", g, "--witness-budget", "abc"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_degenerate_random_instance_profile_exit_2(capsys, tmp_path):
+    for flag in ("--point-pool", "--arity", "--max-support"):
+        input_error(["random-instance", "--seed", "1", "--out", tmp_path, flag, "0"], capsys)
+
+
+def test_deeply_nested_json_exit_2(files, capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    _, g, _ = files
+    input_error(["decide", "--target", deep, "--gens", g], capsys)
+
+
 def test_missing_file_exit_2(files, capsys):
     _, g, _ = files
     code = main(["decide", "--target", "/nonexistent.json", "--gens", str(g)])
@@ -380,3 +410,113 @@ def test_subprocess_byte_identical(files):
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
+
+
+# -- input contract fuzz ----------------------------------------------------------
+
+JUNK_TEXT = ["", "x", "0", "1/0", "1 mod 4", "GF(4)", "GF(", "nan", "1e3", "p0<c0", "c0"]
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(width=16),
+    st.sampled_from(JUNK_TEXT), st.text(max_size=3),
+    st.lists(st.sampled_from(JUNK_TEXT), max_size=2), st.just({}),
+)
+
+
+def mostly(usual, other):
+    """``usual`` three times in four, otherwise ``other``."""
+    return st.sampled_from(range(4)).flatmap(lambda k: other if k == 3 else usual)
+
+
+def field(valid):
+    """``valid`` 23 times in 24, otherwise junk of any JSON type, so a
+    typical document holds about one defect."""
+    return st.sampled_from(range(24)).flatmap(lambda k: junk if k == 23 else valid)
+
+
+point = field(st.sampled_from(["0", "1", "2", "1/2"]))
+COEFFS = {"Q": ["1", "-1", "2", "1/2"], "Z": ["1", "-1", "2"], "GF(3)": ["1", "2", "1 mod 3"]}
+
+
+def vector(ring, arity):
+    term = st.fixed_dictionaries({
+        "coeff": field(st.sampled_from(COEFFS[ring])),
+        "tuple": field(st.lists(point, min_size=arity, max_size=arity))})
+    return field(st.fixed_dictionaries({
+        "ring": field(st.just(ring)), "arity": field(st.just(arity)),
+        "terms": field(st.lists(field(term), min_size=1, max_size=3))}))
+
+
+def decision_fields(ring, arity):
+    """Replacement values for each top-level field of a decision."""
+    coeff = field(st.sampled_from(COEFFS[ring]))
+    summand = st.fixed_dictionaries({"coeff": coeff, "vector": vector(ring, arity)})
+    rep = st.fixed_dictionaries({"coeff": coeff, "rep": vector(ring, arity)})
+    certificate = field(st.one_of(
+        st.fixed_dictionaries({
+            "type": field(st.just("span-witness")),
+            "coefficients": field(st.lists(field(rep), max_size=2)),
+            "explicitWitness": field(st.one_of(st.none(), st.fixed_dictionaries(
+                {"summands": field(st.lists(field(summand), max_size=2))})))}),
+        st.fixed_dictionaries({
+            "type": st.just("dual-functional"),
+            "functional": field(st.dictionaries(st.sampled_from(JUNK_TEXT), coeff, max_size=2))}),
+        st.fixed_dictionaries({
+            "type": st.just("character"),
+            "character": field(st.dictionaries(st.sampled_from(JUNK_TEXT), point, max_size=2))}),
+    ))
+    return {"member": field(st.booleans()), "paramSet": field(st.lists(point, max_size=3)),
+            "repCount": field(st.integers(0, 40)), "certificate": certificate}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    if code == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+    return code, out.getvalue()
+
+
+@given(data=st.data(), ring=st.sampled_from(["Q", "Z", "GF(3)"]), arity=st.integers(1, 2),
+       override=mostly(st.none(), st.sampled_from(["Q", "Z", "GF(3)", "GF(4)", "R"])),
+       params=mostly(st.none(), st.sampled_from(["", "0,1", "1,1", "0,1/2,1,2", "x", "1/0"])),
+       structure=st.sampled_from(["dlo", "pure-set"]))
+@settings(max_examples=200, deadline=None)
+def test_cli_input_contract_fuzz(tmp_path_factory, data, ring, arity, override, params,
+                                 structure):
+    """Malformed but structured JSON never escapes as an exception: decide
+    and omega answer 0 or 2, verify 0, 2, or 3 on a decision that parsed,
+    and every exit 2 is one error line.  The decision fed to verify is the
+    one decide emitted with some fields replaced, or a made-up one."""
+    where = tmp_path_factory.mktemp("fuzz")
+    files = {name: where / f"{name}.json" for name in ("target", "gens", "decision")}
+    files["target"].write_text(json.dumps(data.draw(vector(ring, arity))))
+    files["gens"].write_text(
+        json.dumps(data.draw(field(st.lists(vector(ring, arity), max_size=2)))))
+    target = ["--target", files["target"]]
+    gens = ["--gens", files["gens"], "--structure", structure]
+    ring_opt = ["--ring", override] if override else []
+    params_opt = ["--params", params] if params is not None else []
+
+    code, out = run_main(["omega", *target, *ring_opt, *params_opt])
+    assert code in (0, 2)
+    code, out = run_main(["decide", *target, *gens, *ring_opt, *params_opt])
+    assert code in (0, 2)
+    replace = decision_fields(ring, arity)
+    replaced = set()
+    if code == 0:
+        decision = json.loads(out)
+        replaced = data.draw(st.sets(st.sampled_from(sorted(replace))))
+        for key in replaced:
+            decision[key] = data.draw(replace[key])
+    else:
+        decision = data.draw(field(st.fixed_dictionaries(replace)))
+    files["decision"].write_text(json.dumps(decision))
+    verified, out = run_main(["verify", *target, *gens, *ring_opt,
+                              "--decision", files["decision"]])
+    assert verified in (0, 2, 3)
+    if verified == 3:
+        assert json.loads(out) == {"verified": False}
+    if code == 0 and not replaced:
+        assert verified == 0

@@ -15,13 +15,13 @@ from permod.decide import (
     generates_all,
     membership,
     min_support,
-    reduct_membership,
+    pure_set_expand,
     verify_certificate,
 )
 from permod.oracle import oracle_membership
 from permod.pmod import AugVector, ModVector, act, omega, support_points
 from permod.ring import GF, QQ, ZZ, RingError
-from permod.structure import ParamSet, ReductSpec
+from permod.structure import ParamSet
 
 
 def vec(ring, arity, items):
@@ -299,34 +299,27 @@ def test_min_support_integer_translate():
         min_support([gen], 0)
 
 
-# -- reducts ----------------------------------------------------------------------
+# -- the pure-set reduct -----------------------------------------------------------
 
 
 def test_reduct_translate_and_obstruction():
     gen = vec(QQ, 2, [((0, 1), 1), ((1, 0), -1)])
-    pure = ReductSpec("pure-set")
-    yes = reduct_membership(vec(QQ, 2, [((3, 5), 1), ((5, 3), -1)]), [gen], pure)
+    pure = pure_set_expand([gen])
+    yes = membership(vec(QQ, 2, [((3, 5), 1), ((5, 3), -1)]), pure)
     assert yes.member
-    no = reduct_membership(vec(QQ, 2, [((3, 5), 1), ((5, 3), 1)]), [gen], pure)
+    no = membership(vec(QQ, 2, [((3, 5), 1), ((5, 3), 1)]), pure)
     assert not no.member
     assert isinstance(no.certificate, FunctionalCert)
     # a case the order group alone cannot reach: swapping the coordinates
     single = vec(QQ, 2, [((0, 1), 1)])
     swapped = vec(QQ, 2, [((4, 3), 1)])
     assert not membership(swapped, [single]).member
-    assert reduct_membership(swapped, [single], pure).member
-    assert reduct_membership(gen, [gen], pure).member
+    assert membership(swapped, pure_set_expand([single])).member
+    assert membership(gen, pure).member
     yes_target = vec(QQ, 2, [((3, 5), 1), ((5, 3), -1)])
     no_target = vec(QQ, 2, [((3, 5), 1), ((5, 3), 1)])
-    assert verify_certificate(yes, yes_target, [gen], reduct=pure)
-    assert verify_certificate(no, no_target, [gen], reduct=pure)
-
-
-def test_reduct_none_matches_plain():
-    t = vec(QQ, 1, [((0,), 1), ((2,), -1)])
-    plain = membership(t, [GEN_DIFF])
-    via = reduct_membership(t, [GEN_DIFF], ReductSpec("none"))
-    assert plain == via
+    assert verify_certificate(yes, yes_target, pure)
+    assert verify_certificate(no, no_target, pure)
 
 
 # -- cyclic generators ---------------------------------------------------------------

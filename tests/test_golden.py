@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from permod import GF, QQ, ZZ, InstanceProfile, ModVector, ParamSet, ReductSpec
+from permod import GF, QQ, ZZ, InstanceProfile, ModVector, ParamSet
 from permod.cli import main as cli_main
-from permod.decide import decision_to_json, membership, reduct_membership
+from permod.decide import decision_to_json, membership, pure_set_expand
 from permod.oracle import random_instance
 
 FIXTURE = Path(__file__).parent / "data" / "golden_decisions.json"
@@ -67,10 +67,15 @@ def decision_cases():
         yield f"chain-{name}-m3-params", lambda r=ring: membership(
             _chain(r, 1, _alternating(3)), [_chain(r, 0, [1, -1])],
             param_set=ParamSet.of([0, 1, 2, 3, 7]))
-    yield "pure-set", lambda: reduct_membership(*_pure_set_case(), ReductSpec("pure-set"))
+    yield "pure-set", _pure_set_decision
     for name, ring in RANDOM_RINGS.items():
         for seed in range(400):
             yield f"random-{name}-{seed}", lambda r=ring, s=seed: _random_decision(s, r)
+
+
+def _pure_set_decision():
+    target, gens = _pure_set_case()
+    return membership(target, pure_set_expand(gens))
 
 
 def _random_decision(seed, ring):

@@ -101,6 +101,18 @@ def test_membership_shape_errors():
         span_membership([Fraction(1, 2)], [[1]], ZZ)
 
 
+def test_ragged_generator_rows_rejected():
+    # the first row fits the target, a later one is shorter or longer
+    for ring in (QQ, GF(3), ZZ):
+        with pytest.raises(RingError):
+            span_membership([1, 0], [[1, 0], [1]], ring)
+    for ring in (QQ, GF(3)):
+        with pytest.raises(RingError):
+            dual_functional([1, 0], [[0, 1], [0, 1, 0]], ring)
+    with pytest.raises(RingError):
+        dual_character([1, 0], [[2, 0], [1]])
+
+
 # -- dual functionals --------------------------------------------------------
 
 

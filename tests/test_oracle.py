@@ -121,6 +121,15 @@ def test_random_instance_rejects_coefficients_outside_the_ring():
         random_instance(0, InstanceProfile(ring=ZZ, coeff_pool=(Fraction(1, 2),)))
 
 
+def test_degenerate_profiles_rejected_at_once():
+    # every pool coefficient is 0 mod 2: drawing a nonzero vector never ends
+    with pytest.raises(ValueError, match="coeff_pool"):
+        InstanceProfile(ring=GF(2), coeff_pool=(2,))
+    for field in ("arity", "max_support", "point_pool"):
+        with pytest.raises(ValueError, match=field):
+            InstanceProfile(**{field: 0})
+
+
 def test_planted_instances_are_members():
     hits = 0
     for seed in range(30):

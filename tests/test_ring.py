@@ -11,7 +11,6 @@ from permod.ring import (
     QQ,
     ZZ,
     CharacterQZ,
-    ExactMatrix,
     RingError,
     RingSpec,
     is_prime,
@@ -107,12 +106,7 @@ def test_gf7_round_trip(r):
 
 def test_field_arithmetic():
     ring = GF(7)
-    assert ring.div(3, 5) == 3 * pow(5, -1, 7) % 7
     assert ring.neg(0) == 0
-    with pytest.raises(RingError):
-        ring.inv(0)
-    with pytest.raises(RingError):
-        ZZ.inv(2)
 
 
 def test_character_values():
@@ -123,14 +117,6 @@ def test_character_values():
     assert chi.annihilates((4, 9))
     chi2 = CharacterQZ((Fraction(3, 2),))  # reduced into [0, 1)
     assert chi2.coeffs == (Fraction(1, 2),)
-
-
-def test_exact_matrix_validation():
-    m = ExactMatrix.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
-    assert m.n_rows == 2 and m.n_cols == 2
-    assert m.column(1) == (Fraction(1, 2), Fraction(3))
-    with pytest.raises(RingError):
-        ExactMatrix.from_rows(QQ, [[1], [1, 2]])
 
 
 def test_primitive_int_vector():

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permod.structure import (
-    DLO,
     ParamSet,
-    ReductSpec,
+    canonical_orbit_reps,
     gap_values,
     parse_point,
+    pattern_of_tuple,
+    slot_map_of,
 )
 from reference import enumerate_placements
 
@@ -32,6 +33,11 @@ def brute_slot_maps(m: int, s: int) -> list[tuple[int, ...]]:
             continue
         out.append(cand)
     return out
+
+
+def tagged(slot_map):
+    """A slot map in the reference's tagged ("gap"|"param", i) form."""
+    return tuple((("gap", "param")[k & 1], k // 2) for k in slot_map)
 
 
 def order_table(tup, params):
@@ -53,24 +59,20 @@ def order_table(tup, params):
 
 def test_pattern_examples():
     S = ParamSet.of([0, 2])
-    k1 = DLO.pattern_of_tuple((Fraction(1),), S)
-    assert k1.slots == (("gap", 1),)
-    assert k1.text == "p0<c0<p1"
-    k2 = DLO.pattern_of_tuple((Fraction(0),), S)
-    assert k2.slots == (("param", 0),)
-    assert k2.text == "p0=c0<p1"
-    k3 = DLO.pattern_of_tuple((Fraction(1), Fraction(1, 2)), S)
-    assert k3.slots == (("gap", 1), ("gap", 1))
-    assert k3.text == "p0<c1<c0<p1"
-    assert k3 != DLO.pattern_of_tuple((Fraction(1, 2), Fraction(1)), S)
+    assert tagged(slot_map_of((Fraction(1),), S.points)) == (("gap", 1),)
+    assert pattern_of_tuple((Fraction(1),), S) == "p0<c0<p1"
+    assert tagged(slot_map_of((Fraction(0),), S.points)) == (("param", 0),)
+    assert pattern_of_tuple((Fraction(0),), S) == "p0=c0<p1"
+    assert tagged(slot_map_of((Fraction(1, 2), Fraction(1)), S.points)) == (
+        ("gap", 1), ("gap", 1))
+    k3 = pattern_of_tuple((Fraction(1), Fraction(1, 2)), S)
+    assert k3 == "p0<c1<c0<p1"
+    assert k3 != pattern_of_tuple((Fraction(1, 2), Fraction(1)), S)
 
 
 def test_pattern_repeated_and_equal_to_param():
     S = ParamSet.of([5])
-    key = DLO.pattern_of_tuple((Fraction(5), Fraction(5)), S)
-    assert key.text == "p0=c0=c1"
-    assert key.is_singleton
-    assert key.singleton_tuple(S) == (Fraction(5), Fraction(5))
+    assert pattern_of_tuple((Fraction(5), Fraction(5)), S) == "p0=c0=c1"
 
 
 @given(
@@ -84,7 +86,7 @@ def test_pattern_separation(u, w, pts):
         u = u[: min(len(u), len(w))]
         w = w[: len(u)]
     S = ParamSet.of(pts)
-    same_key = DLO.pattern_of_tuple(u, S) == DLO.pattern_of_tuple(w, S)
+    same_key = pattern_of_tuple(u, S) == pattern_of_tuple(w, S)
     same_table = order_table(tuple(u), S) == order_table(tuple(w), S)
     assert same_key == same_table
 
@@ -117,7 +119,7 @@ def test_pattern_invariant_under_increasing_maps(tup, pts):
         return lo + (x - lo) * Fraction(1, 2) + (hi - lo) * Fraction(1, 4)
 
     moved = tuple(squeeze(Fraction(x)) for x in tup)
-    assert DLO.pattern_of_tuple(moved, S) == DLO.pattern_of_tuple(tup, S)
+    assert pattern_of_tuple(moved, S) == pattern_of_tuple(tup, S)
 
 
 # -- placements ---------------------------------------------------------------
@@ -138,7 +140,7 @@ def test_placement_counts_match_brute_force(m, s):
         assert pl.slots not in seen
         seen.add(pl.slots)
         # realization matches the slot assignment
-        assert DLO.pattern_of_tuple(pl.images, params).slots == pl.slots
+        assert tagged(slot_map_of(pl.images, params.points)) == pl.slots
 
 
 def test_placement_counts_examples():
@@ -163,11 +165,11 @@ def test_placement_completeness_random_chains():
                 m,
             )
         )
-        key = DLO.pattern_of_tuple(tuple(pool), params)
+        slots = tagged(slot_map_of(pool, params.points))
         matches = [
             pl
             for pl in enumerate_placements(pool, params)
-            if pl.slots == key.slots
+            if pl.slots == slots
         ]
         assert len(matches) == 1
 
@@ -181,8 +183,8 @@ def test_placement_rejects_unsorted_source():
 
 
 def test_orbit_reps_small():
-    assert DLO.canonical_orbit_reps(1) == [(Fraction(1),)]
-    reps2 = DLO.canonical_orbit_reps(2)
+    assert canonical_orbit_reps(1) == [(Fraction(1),)]
+    reps2 = canonical_orbit_reps(2)
     assert set(reps2) == {
         (Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(2)),
@@ -195,31 +197,13 @@ def test_orbit_reps_count_is_number_of_weak_orders():
     # over a big enough chain
     for n in (1, 2, 3):
         table = {
-            DLO.pattern_of_tuple(tup, ParamSet.empty()).text
+            pattern_of_tuple(tup, ParamSet.empty())
             for tup in product([Fraction(i) for i in range(1, n + 1)], repeat=n)
         }
-        reps = DLO.canonical_orbit_reps(n)
+        reps = canonical_orbit_reps(n)
         assert len(reps) == len(table)
-        assert len({DLO.pattern_of_tuple(r, ParamSet.empty()).text for r in reps}) == len(reps)
-    assert len(DLO.canonical_orbit_reps(3)) == 13
-
-
-# -- reducts -------------------------------------------------------------------
-
-
-def test_reduct_expansions_counts():
-    pts = [Fraction(0), Fraction(1)]
-    pure = ReductSpec("pure-set")
-    assert len(DLO.reduct_expansions(pts, pure)) == 2
-    assert len(DLO.reduct_expansions([Fraction(3)], pure)) == 1
-    assert len(DLO.reduct_expansions([0, 1, 2], pure)) == 6
-    ident = DLO.reduct_expansions(pts, ReductSpec("none"))
-    assert ident == [{Fraction(0): Fraction(0), Fraction(1): Fraction(1)}]
-
-
-def test_reduct_spec_validation():
-    with pytest.raises(ValueError):
-        ReductSpec("graph")
+        assert len({pattern_of_tuple(r, ParamSet.empty()) for r in reps}) == len(reps)
+    assert len(canonical_orbit_reps(3)) == 13
 
 
 # -- helpers -------------------------------------------------------------------
