@@ -3,7 +3,10 @@
 The fixture ``tests/data/golden_decisions.json`` was recorded with the
 realise-every-representative pipeline (every placement built as a
 vector, every row eliminated); the streaming pipeline must reproduce
-every byte.  To re-record after an intended certificate change:
+every byte.  ``tests/data/golden_oracle.json`` was recorded with the
+grid oracle that placed generators and target as `Fraction` tuples; it
+holds oracle results, grid spans and the CLI's explicit witnesses.  To
+re-record both after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,9 +19,12 @@ from pathlib import Path
 from permod import GF, QQ, ZZ, InstanceProfile, ModVector, ParamSet
 from permod.cli import main as cli_main
 from permod.decide import decision_to_json, membership, pure_set_expand
-from permod.oracle import random_instance
+from permod.oracle import Grid, grid_span, oracle_membership, random_instance
 
 FIXTURE = Path(__file__).parent / "data" / "golden_decisions.json"
+ORACLE_FIXTURE = Path(__file__).parent / "data" / "golden_oracle.json"
+ORACLE_SEEDS = range(150)
+ORACLE_GRIDS = (4, 7, 10)
 RANDOM_RINGS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "Z": ZZ}
 CHAIN_RINGS = {"Q": QQ, "GF5": GF(5), "Z": ZZ}
 
@@ -134,6 +140,84 @@ def test_omega_cli_matches_golden(tmp_path, capsys):
         assert _sha(omega_output(name, tmp_path, capsys)) == golden[name], name
 
 
+def _summands_json(summands):
+    return [{"coeff": v.ring.format(c), "vector": v.to_json()} for c, v in summands]
+
+
+def oracle_results():
+    """(case id, canonical [status, gridSize, witness summands]) for the
+    random instances at every recorded grid bound."""
+    for name, ring in RANDOM_RINGS.items():
+        for seed in ORACLE_SEEDS:
+            inst = random_instance(seed, InstanceProfile(ring=ring))
+            for max_grid in ORACLE_GRIDS:
+                res = oracle_membership(inst.target, list(inst.generators), max_grid)
+                witness = None if res.witness is None else _summands_json(res.witness)
+                yield (f"oracle-{name}-{seed}-g{max_grid}",
+                       _canonical([res.status, res.grid_size, witness]))
+
+
+SPAN_GENERATORS = {
+    "diff": lambda: [ModVector.from_terms(QQ, 1, [((0,), 1), ((1,), -1)])],
+    "single": lambda: [ModVector.from_terms(QQ, 1, [((0,), 1)])],
+    "z-doubled": lambda: [ModVector.from_terms(ZZ, 1, [((0,), 2)])],
+    "gf2-pair": lambda: [ModVector.from_terms(GF(2), 1, [((0,), 1), ((1,), 1)])],
+    "q-arity2": lambda: [ModVector.from_terms(QQ, 2, [((0, 1), 1), ((1, 0), -1)]),
+                         ModVector.from_terms(QQ, 2, [((2, 2), 3)])],
+    "z-arity2": lambda: [ModVector.from_terms(ZZ, 2, [((0, 1), 2), ((1, 1), 4)])],
+}
+
+
+def grid_spans():
+    for name, gens in SPAN_GENERATORS.items():
+        for size in range(3, 7):
+            basis = grid_span(gens(), Grid.integers(size))
+            yield f"span-{name}-{size}", _canonical([v.to_json() for v in basis])
+
+
+# (ring, seed, max grid) of random instances run through the CLI
+ORACLE_CLI_CASES = [
+    ("Q", 0, 8), ("Q", 3, 10), ("Q", 16, 8), ("GF3", 5, 8), ("GF2", 9, 6), ("Z", 2, 10),
+    ("Z", 11, 4), ("Z", 13, 10),
+]
+
+
+def oracle_cli_outputs(tmp_dir):
+    """stdout of `permod oracle-check` and `permod decide --witness-budget`
+    for a few random instances."""
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    for name, seed, grid in ORACLE_CLI_CASES:
+        inst = random_instance(seed, InstanceProfile(ring=RANDOM_RINGS[name]))
+        target = Path(tmp_dir) / f"{name}-{seed}-target.json"
+        gens = Path(tmp_dir) / f"{name}-{seed}-gens.json"
+        target.write_text(json.dumps(inst.target.to_json()))
+        gens.write_text(json.dumps([g.to_json() for g in inst.generators]))
+        common = ["--target", str(target), "--gens", str(gens)]
+        for cmd, argv in (("oracle-check", ["oracle-check", *common, "--max-grid", str(grid)]),
+                          ("decide", ["decide", *common, "--witness-budget", "8"])):
+            buf = StringIO()
+            with redirect_stdout(buf):
+                assert cli_main(argv) == 0
+            yield f"cli-{cmd}-{name}-{seed}-g{grid}", buf.getvalue()
+
+
+def oracle_outputs(tmp_dir):
+    yield from oracle_results()
+    yield from grid_spans()
+    yield from oracle_cli_outputs(tmp_dir)
+
+
+def test_oracle_matches_golden(tmp_path):
+    golden = json.loads(ORACLE_FIXTURE.read_text())
+    seen = 0
+    for case_id, text in oracle_outputs(tmp_path):
+        assert _sha(text) == golden[case_id], f"{case_id}: oracle output changed"
+        seen += 1
+    assert seen == len(golden)
+
+
 def record() -> None:
     import tempfile
 
@@ -142,9 +226,12 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in OMEGA_CASES:
             out[name] = _sha(omega_output(name, tmp))
+        oracle = {case_id: _sha(text) for case_id, text in oracle_outputs(tmp)}
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(out)} cases to {FIXTURE}", file=sys.stderr)
+    ORACLE_FIXTURE.write_text(json.dumps(oracle, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(out)} decisions to {FIXTURE} and {len(oracle)} oracle "
+          f"outputs to {ORACLE_FIXTURE}", file=sys.stderr)
 
 
 if __name__ == "__main__":
