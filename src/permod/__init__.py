@@ -6,7 +6,6 @@ from permod.decide import (
     CharacterCert,
     CyclicResult,
     Decision,
-    ExplicitWitness,
     FunctionalCert,
     SpanWitnessCert,
     VerificationError,
@@ -18,7 +17,7 @@ from permod.decide import (
     verify_certificate,
 )
 from permod.oracle import (
-    Grid,
+    ExplicitWitness,
     Instance,
     InstanceProfile,
     OracleResult,

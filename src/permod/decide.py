@@ -34,6 +34,7 @@ from permod.linalg import (
     normalize_functional,
     span_intersect_coords,
 )
+from permod.oracle import ExplicitWitness
 from permod.pmod import (
     AugVector,
     ModVector,
@@ -56,28 +57,6 @@ from permod.structure import (
     placement_count,
     slot_map_of,
 )
-
-
-@dataclass(frozen=True)
-class ExplicitWitness:
-    """Summands (coefficient, acted generator) adding up to the target."""
-
-    summands: tuple[tuple[Scalar, ModVector], ...]
-
-    def evaluate(self, ring: RingSpec, arity: int) -> ModVector:
-        total = ModVector.zero(ring, arity)
-        for coeff, vec in self.summands:
-            total = total.add(vec.scale(coeff))
-        return total
-
-    def to_json(self) -> dict:
-        return {
-            "type": "explicit-witness",
-            "summands": [
-                {"coeff": v.ring.format(c), "vector": v.to_json()}
-                for c, v in self.summands
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -205,9 +184,7 @@ def membership(
         )
         explicit = None
         if witness_budget:
-            found = _oracle.oracle_membership(target, generators, witness_budget)
-            if found.conclusive:
-                explicit = ExplicitWitness(tuple(found.witness))
+            explicit = _oracle.oracle_membership(target, generators, witness_budget).witness
         cert: Certificate = SpanWitnessCert(terms, explicit)
         return Decision(True, cert, params, rep_count)
 
@@ -290,7 +267,7 @@ def verify_certificate(
 
         rows = {row.entries for _, _, row in _stream(gens, params)}
         return all(pairing(r) == 0 for r in rows) and pairing(target_aug.entries) != 0
-    except (ValueError, RingError):
+    except ValueError:
         return False
 
 

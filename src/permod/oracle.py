@@ -6,6 +6,11 @@ generators is a genuine member, so a hit yields an explicit witness,
 while a miss says nothing (there is no a-priori bound on the support a
 witness may need).  The decider's verdicts are checked against this
 under-approximation in the randomized suite.
+
+The search works on grid positions 0..size-1 (position i stands for the
+grid point i + 1): generators and target alike are placed by indexing
+their chain skeletons, columns are position tuples, and only the
+summands of a hit become vectors, as an `ExplicitWitness`.
 """
 
 from __future__ import annotations
@@ -30,54 +35,55 @@ from permod.structure import gap_values
 
 
 @dataclass(frozen=True)
-class Grid:
-    """A strictly increasing finite chain of rationals."""
+class ExplicitWitness:
+    """Summands (coefficient, acted generator) adding up to the target."""
 
-    points: tuple[Fraction, ...]
+    summands: tuple[tuple[Scalar, ModVector], ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple(Fraction(p) for p in self.points)
-        for a, b in zip(pts, pts[1:]):
-            if a >= b:
-                raise ValueError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+    def evaluate(self, ring: RingSpec, arity: int) -> ModVector:
+        total = ModVector.zero(ring, arity)
+        for coeff, vec in self.summands:
+            total = total.add(vec.scale(coeff))
+        return total
 
-    @classmethod
-    def integers(cls, n: int) -> "Grid":
-        return cls(tuple(Fraction(i) for i in range(1, n + 1)))
+    def to_json(self) -> dict:
+        return {
+            "type": "explicit-witness",
+            "summands": [
+                {"coeff": v.ring.format(c), "vector": v.to_json()}
+                for c, v in self.summands
+            ],
+        }
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
-
-def _placed_on_grid(generators: Sequence[ModVector], grid: Grid):
-    """Every image of every generator under increasing maps into the grid."""
-    placed: list[ModVector] = []
+def _placed_on_grid(generators: Sequence[ModVector], size: int) -> list:
+    """(skeleton, positions) for every increasing map of every generator's
+    support chain into the grid positions."""
+    placed = []
     for g in generators:
         chain, skeleton = chain_skeleton(g)
-        if len(chain) > grid.size:
+        if len(chain) > size:
             raise ValueError(
-                f"grid too small: {grid.size} points cannot hold a "
+                f"grid too small: {size} points cannot hold a "
                 f"{len(chain)}-point support chain"
             )
-        for idxs in combinations(range(grid.size), len(chain)):
-            images = tuple(grid.points[i] for i in idxs)
-            placed.append(translate_onto(skeleton, g.ring, g.arity, images))
+        placed.extend((skeleton, idxs) for idxs in combinations(range(size), len(chain)))
     return placed
 
 
-def _span_of_placed(placed: Sequence[ModVector], ring: RingSpec):
-    columns = sorted({tup for v in placed for tup, _ in v.terms})
+def _span_of_placed(placed: Sequence, ring: RingSpec):
+    rows = [[(tuple(idxs[i] for i in t), c) for t, c in skeleton] for skeleton, idxs in placed]
+    columns = sorted({t for row in rows for t, _ in row})
     col = {t: i for i, t in enumerate(columns)}
     engine = make_span(ring, reduced=False)
-    for v in placed:
-        engine.insert((col[t], c) for t, c in v.terms)
+    for row in rows:
+        engine.insert((col[t], c) for t, c in row)
     return engine, columns, col
 
 
-def grid_span(generators: Sequence[ModVector], grid: Grid) -> list[ModVector]:
-    """A spanning basis of all grid-placed generator images, as vectors.
+def grid_span(generators: Sequence[ModVector], size: int) -> list[ModVector]:
+    """A spanning basis of all images of the generators under increasing
+    maps into the grid points 1..size, as vectors.
 
     Fields give row-echelon rows in first-seen order; Z gives the
     triangular lattice basis in canonical (above-reduced) form.
@@ -88,13 +94,14 @@ def grid_span(generators: Sequence[ModVector], grid: Grid) -> list[ModVector]:
     check_family(generators)
     ring = generators[0].ring
     arity = generators[0].arity
-    placed = _placed_on_grid(generators, grid)
-    engine, columns, _ = _span_of_placed(placed, ring)
+    engine, columns, _ = _span_of_placed(_placed_on_grid(generators, size), ring)
     if isinstance(engine, IntegerSpan):
         engine.hnf_normalize()
     rows = sorted(engine.basis_pairs(), key=lambda pr: pr[0])
     return [
-        ModVector.from_terms(ring, arity, [(columns[c], v) for c, v in row.items()])
+        ModVector.from_terms(
+            ring, arity, [(tuple(i + 1 for i in columns[c]), v) for c, v in row.items()]
+        )
         for _, row in rows
     ]
 
@@ -102,7 +109,7 @@ def grid_span(generators: Sequence[ModVector], grid: Grid) -> list[ModVector]:
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # "yes" | "inconclusive"
-    witness: tuple[tuple[Scalar, ModVector], ...] | None = None
+    witness: ExplicitWitness | None = None
     grid_size: int | None = None
 
     @property
@@ -110,16 +117,13 @@ class OracleResult:
         return self.status == "yes"
 
 
-def _unmap_grid(
-    anchors: Sequence[Fraction], idxs: Sequence[int], grid: Grid
-) -> dict[Fraction, Fraction]:
-    """Extend the inverse of an anchoring injection to the whole grid,
-    staying strictly increasing: integer offsets outside the anchored
+def _unmap_grid(anchors: Sequence[Fraction], idxs: Sequence[int], n: int) -> list[Fraction]:
+    """Values for the n grid positions, strictly increasing, with the
+    anchors at positions ``idxs``: integer offsets outside the anchored
     range, deterministic in-gap values between anchors."""
-    n = grid.size
-    values: list[Fraction] = [Fraction(0)] * n
     if not idxs:
-        return dict(zip(grid.points, gap_values(None, None, n)))
+        return gap_values(None, None, n)
+    values: list[Fraction] = [Fraction(0)] * n
     for a, i in zip(anchors, idxs):
         values[i] = a
     first, last = idxs[0], idxs[-1]
@@ -130,9 +134,8 @@ def _unmap_grid(
     for k in range(len(idxs) - 1):
         lo_i, hi_i = idxs[k], idxs[k + 1]
         between = gap_values(anchors[k], anchors[k + 1], hi_i - lo_i - 1)
-        for off, j in enumerate(range(lo_i + 1, hi_i)):
-            values[j] = between[off]
-    return dict(zip(grid.points, values))
+        values[lo_i + 1:hi_i] = between
+    return values
 
 
 def oracle_membership(
@@ -150,33 +153,28 @@ def oracle_membership(
     """
     generators = list(generators)
     check_family([target, *generators])
-    ring = target.ring
-    anchors = support_points(target).points
-    m = len(anchors)
+    ring, arity = target.ring, target.arity
+    anchors, target_skeleton = chain_skeleton(target)
     longest = max((len(support_points(g).points) for g in generators), default=0)
-    start = max(m + 2, longest, 1)
+    start = max(len(anchors) + 2, longest, 1)
     for size in range(start, max_grid + 1, 2):
-        grid = Grid.integers(size)
-        placed = _placed_on_grid(generators, grid)
+        placed = _placed_on_grid(generators, size)
         engine, _, col = _span_of_placed(placed, ring)
-        for idxs in combinations(range(size), m):
-            sigma = {p: grid.points[i] for p, i in zip(anchors, idxs)}
-            moved = act(target, sigma)
-            if any(t not in col for t, _ in moved.terms):
+        for idxs in combinations(range(size), len(anchors)):
+            row = [(col.get(tuple(idxs[i] for i in t)), c) for t, c in target_skeleton]
+            if any(j is None for j, _ in row):
                 continue
-            comb = engine.reduce_comb((col[t], c) for t, c in moved.terms)
+            comb = engine.reduce_comb(row)
             if comb is None:
                 continue
-            unmap = _unmap_grid(anchors, idxs, grid)
-            summands = tuple(
-                (c, act(placed[j], unmap)) for j, c in sorted(comb.items()) if c != 0
-            )
-            witness_sum = ModVector.zero(ring, target.arity)
-            for c, v in summands:
-                witness_sum = witness_sum.add(v.scale(c))
-            if witness_sum != target:
+            values = _unmap_grid(anchors, idxs, size)
+            witness = ExplicitWitness(tuple(
+                (c, translate_onto(placed[j][0], ring, arity, [values[i] for i in placed[j][1]]))
+                for j, c in sorted(comb.items()) if c != 0
+            ))
+            if witness.evaluate(ring, arity) != target:
                 raise AssertionError("grid witness failed exact re-evaluation")
-            return OracleResult("yes", summands, size)
+            return OracleResult("yes", witness, size)
     return OracleResult("inconclusive")
 
 

@@ -186,16 +186,11 @@ def act(x: ModVector, mapping: Mapping[Fraction, Fraction]) -> ModVector:
     The map must be defined on all support points; it extends to an order
     automorphism by density, so the result lies in the same orbit.
     """
-    mapping = {Fraction(k): Fraction(v) for k, v in mapping.items()}
     dom = sorted(mapping)
     for a, b in zip(dom, dom[1:]):
         if mapping[a] >= mapping[b]:
             raise ValueError("map is not strictly increasing")
-    missing = [p for p in support_points(x).points if p not in mapping]
-    if missing:
-        raise ValueError(f"map not defined on support points {missing}")
-    terms = [(tuple(mapping[c] for c in tup), v) for tup, v in x.terms]
-    return ModVector(x.ring, x.arity, tuple(sorted(terms)))
+    return relabel(x, mapping)
 
 
 def relabel(x: ModVector, mapping: Mapping[Fraction, Fraction]) -> ModVector:

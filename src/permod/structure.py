@@ -28,11 +28,14 @@ from fractions import Fraction
 from itertools import groupby, product
 from typing import Iterable, Iterator, Sequence
 
+from permod.ring import QQ
+
 
 def parse_point(text: str) -> Fraction:
+    """A rational point written like a Q scalar: ``a`` or ``a/b``."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return QQ.parse(text)
+    except ValueError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 

@@ -151,7 +151,8 @@ def test_06_randomized_cross_validation():
         if res.conclusive:
             oracle_yes += 1
             assert d.member, f"seed {seed}: oracle witness contradicts NO"
-            assert combine(res.witness, inst.target.ring, inst.target.arity) == inst.target
+            total = combine(res.witness.summands, inst.target.ring, inst.target.arity)
+            assert total == inst.target
     elapsed = time.perf_counter() - t0
     # sanity on the mix: both verdicts occur, plants are plentiful
     assert planted_count > 300
@@ -191,7 +192,7 @@ def test_08_cyclic_generator_round_trip():
     assert verify_certificate(res.back, res.generator, [GEN_DIFF, g2])
     confirm = oracle_membership(g2, [res.generator], 12)
     assert confirm.conclusive, "oracle failed to confirm within maxGrid 12"
-    assert combine(confirm.witness, QQ, 1) == g2
+    assert combine(confirm.witness.summands, QQ, 1) == g2
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(8, "cyclic generator round-trip")

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -175,6 +176,26 @@ def test_character_with_zero_denominator_exit_2(files, capsys, tmp_path):
     }))
     _, g, _ = files
     input_error(["verify", "--decision", d, "--target", z, "--gens", g, "--ring", "Z"], capsys)
+
+
+@pytest.mark.parametrize("point", ["1e10000000", "0.5", "1_000", "+1", " 1 / 2 ", "1/0"])
+@pytest.mark.parametrize("where", ["tuple", "params"])
+def test_points_are_integers_or_fractions(capsys, tmp_path, point, where):
+    # "1e10000000" would build a 33-million-bit integer if it were read
+    t = tmp_path / "t.json"
+    tup = [point] if where == "tuple" else ["0"]
+    t.write_text(json.dumps(dict(X_MINUS, terms=[{"coeff": "1", "tuple": tup}])))
+    params = ["--params", f"0,{point}"] if where == "params" else []
+    t0 = time.perf_counter()
+    input_error(["omega", "--target", t, *params], capsys)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_negative_fraction_point_parses(capsys, tmp_path):
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(dict(X_MINUS, terms=[{"coeff": "1", "tuple": ["-3/2"]}])))
+    code, out = run_cli(["omega", "--target", t, "--params=-3/2,7"], capsys)
+    assert code == 0 and json.loads(out) == {"p0=c0<p1": "1"}
 
 
 @pytest.mark.parametrize("fields", [

@@ -379,4 +379,4 @@ def test_witness_agrees_with_oracle():
     assert res.conclusive
     d = membership(target, [GEN_DIFF], witness_budget=4)
     assert d.certificate.explicit is not None
-    assert d.certificate.explicit.summands == res.witness
+    assert d.certificate.explicit.summands == res.witness.summands

@@ -19,7 +19,7 @@ from pathlib import Path
 from permod import GF, QQ, ZZ, InstanceProfile, ModVector, ParamSet
 from permod.cli import main as cli_main
 from permod.decide import decision_to_json, membership, pure_set_expand
-from permod.oracle import Grid, grid_span, oracle_membership, random_instance
+from permod.oracle import grid_span, oracle_membership, random_instance
 
 FIXTURE = Path(__file__).parent / "data" / "golden_decisions.json"
 ORACLE_FIXTURE = Path(__file__).parent / "data" / "golden_oracle.json"
@@ -152,7 +152,7 @@ def oracle_results():
             inst = random_instance(seed, InstanceProfile(ring=ring))
             for max_grid in ORACLE_GRIDS:
                 res = oracle_membership(inst.target, list(inst.generators), max_grid)
-                witness = None if res.witness is None else _summands_json(res.witness)
+                witness = None if res.witness is None else _summands_json(res.witness.summands)
                 yield (f"oracle-{name}-{seed}-g{max_grid}",
                        _canonical([res.status, res.grid_size, witness]))
 
@@ -171,7 +171,7 @@ SPAN_GENERATORS = {
 def grid_spans():
     for name, gens in SPAN_GENERATORS.items():
         for size in range(3, 7):
-            basis = grid_span(gens(), Grid.integers(size))
+            basis = grid_span(gens(), size)
             yield f"span-{name}-{size}", _canonical([v.to_json() for v in basis])
 
 

@@ -240,3 +240,10 @@ def test_parse_point():
         parse_point("1/0")
     with pytest.raises(ValueError):
         parse_point("abc")
+
+    # only the scalar grammar a or a/b
+    assert parse_point("-3/2") == Fraction(-3, 2)
+    assert parse_point(" 7 ") == Fraction(7)
+    for text in ("0.5", "1_000", "1e3", "+1", "1/-0", "inf"):
+        with pytest.raises(ValueError):
+            parse_point(text)
