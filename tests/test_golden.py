@@ -9,6 +9,14 @@ holds oracle results, grid spans and the CLI's explicit witnesses.  To
 re-record both after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+``tests/data/golden_commands.json`` holds the exit code and the sha256 of
+the stdout of `permod min-support`, `generates-all`, `cyclic` and `chain`
+on fixed families and seeded random instances.  It was recorded with the
+`min_support` that re-echelonised every row once per candidate subset,
+and is never re-recorded; the command that wrote it was
+
+    PYTHONPATH=src python tests/test_golden.py commands
 """
 
 import hashlib
@@ -23,6 +31,7 @@ from permod.oracle import grid_span, oracle_membership, random_instance
 
 FIXTURE = Path(__file__).parent / "data" / "golden_decisions.json"
 ORACLE_FIXTURE = Path(__file__).parent / "data" / "golden_oracle.json"
+COMMAND_FIXTURE = Path(__file__).parent / "data" / "golden_commands.json"
 ORACLE_SEEDS = range(150)
 ORACLE_GRIDS = (4, 7, 10)
 RANDOM_RINGS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "Z": ZZ}
@@ -218,6 +227,86 @@ def test_oracle_matches_golden(tmp_path):
     assert seen == len(golden)
 
 
+def _four_point(ring):
+    """(0,1) - (1,2) + (2,3) - (3,0), the pure-set case's generator."""
+    return ModVector.from_terms(ring, 2, [((i, (i + 1) % 4), (-1) ** i) for i in range(4)])
+
+
+COMMAND_FAMILIES = {
+    "diff": lambda r: [_chain(r, 0, [1, -1])],
+    "second-diff": lambda r: [_chain(r, 0, [1, -2, 1])],
+    "alt3": lambda r: [_chain(r, 0, _alternating(3))],
+    "double": lambda r: [_chain(r, 0, [2])],
+    "diff-and-second": lambda r: [_chain(r, 0, [1, -1]), _chain(r, 5, [1, -2, 1])],
+    "swap": lambda r: [ModVector.from_terms(r, 2, [((0, 1), 1), ((1, 0), -1)])],
+    "four-point": lambda r: [_four_point(r)],
+}
+COMMAND_SEEDS = range(60)
+
+
+def command_cases():
+    """(case id, generator sets, argv template) for every recorded command;
+    ``{0}``, ``{1}`` ... in the template name the generator-set files."""
+    for name, ring in RANDOM_RINGS.items():
+        for fam, make in COMMAND_FAMILIES.items():
+            gens = make(ring)
+            arity = gens[0].arity
+            top = 3 if arity == 1 or (fam == "four-point" and name in ("Q", "Z")) else 2
+            for k in range(1, top + 1):
+                yield f"min-support-{fam}-{name}-k{k}", [gens], ["min-support", "--gens", "{0}",
+                                                               "--k", str(k)]
+            yield f"generates-all-{fam}-{name}", [gens], ["generates-all", "--gens", "{0}"]
+            yield f"cyclic-{fam}-{name}", [gens], ["cyclic", "--gens", "{0}"]
+            other = COMMAND_FAMILIES["diff" if arity == 1 else "swap"](ring)
+            yield f"chain-{fam}-{name}", [gens, gens + other, other], ["chain", "{0}", "{1}", "{2}"]
+        for seed in COMMAND_SEEDS:
+            inst = random_instance(seed, InstanceProfile(ring=ring, max_support=3))
+            gens = list(inst.generators)
+            for k in (1, 2):
+                yield f"min-support-random-{name}-{seed}-k{k}", [gens], [
+                    "min-support", "--gens", "{0}", "--k", str(k)]
+            yield f"generates-all-random-{name}-{seed}", [gens], ["generates-all", "--gens", "{0}"]
+            yield f"cyclic-random-{name}-{seed}", [gens], ["cyclic", "--gens", "{0}"]
+            yield f"chain-random-{name}-{seed}", [gens, gens + [inst.target], gens], [
+                "chain", "{0}", "{1}", "{2}"]
+
+
+def command_outputs(tmp_dir):
+    """(case id, [exit code, sha256 of stdout]) for every command case."""
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    for case_id, sets, template in command_cases():
+        paths = []
+        for i, gens in enumerate(sets):
+            path = Path(tmp_dir) / f"{case_id}-{i}.json"
+            path.write_text(json.dumps([g.to_json() for g in gens]))
+            paths.append(str(path))
+        argv = [a.format(*paths) for a in template]
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            code = cli_main(argv)
+        yield case_id, [code, _sha(out.getvalue())]
+
+
+def test_commands_match_golden(tmp_path):
+    golden = json.loads(COMMAND_FIXTURE.read_text())
+    seen = 0
+    for case_id, got in command_outputs(tmp_path):
+        assert got == golden[case_id], f"{case_id}: command output changed"
+        seen += 1
+    assert seen == len(golden)
+
+
+def record_commands() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = dict(command_outputs(tmp))
+    COMMAND_FIXTURE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(out)} command outputs to {COMMAND_FIXTURE}", file=sys.stderr)
+
+
 def record() -> None:
     import tempfile
 
@@ -235,4 +324,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record_commands() if sys.argv[1:] == ["commands"] else record()
