@@ -32,7 +32,7 @@ from permod.pmod import (
     omega,
     support_points,
 )
-from permod.ring import GF, QQ, ZZ, CharacterQZ, RingError, RingSpec
+from permod.ring import GF, QQ, ZZ, RingError, RingSpec
 from permod.structure import ParamSet
 
 __version__ = "0.1.0"

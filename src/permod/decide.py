@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import lcm
 from typing import Sequence
 
 from permod import oracle as _oracle
 from permod.linalg import (
     character_from_span,
+    coord_block_basis,
     make_span,
     normalize_functional,
     span_intersect_coords,
@@ -80,13 +81,6 @@ class CharacterCert:
     """NO certificate over Z: pattern coordinate -> rational mod 1."""
 
     values: tuple[tuple[str, Fraction], ...]
-
-    def value_on(self, aug: AugVector) -> Fraction:
-        table = dict(self.values)
-        total = Fraction(0)
-        for key, coeff in aug.entries:
-            total += table.get(key, Fraction(0)) * coeff
-        return total % 1
 
     @property
     def denominator(self) -> int:
@@ -188,19 +182,16 @@ def membership(
         cert: Certificate = SpanWitnessCert(terms, explicit)
         return Decision(True, cert, params, rep_count)
 
-    # pattern keys are the columns, in sorted order like the pivots
-    keys = sorted({k for entries in seen for k, _ in entries}.union(target_aug.entry_dict()))
     if ring.is_field:
-        phi = engine.functional(target_aug.entries)
-        dense = normalize_functional([phi.get(k, ring.zero()) for k in keys], ring)
-        functional = AugVector.from_dict(ring, dict(zip(keys, dense)))
+        phi = normalize_functional(engine.functional(target_aug.entries), ring)
+        functional = AugVector.from_dict(ring, phi)
         return Decision(False, FunctionalCert(functional), params, rep_count)
 
-    dense_target = [target_aug.entry_dict().get(k, 0) for k in keys]
-    chi = character_from_span(engine, dense_target, keys)
-    values = tuple(
-        (k, c) for k, c in zip(keys, chi.coeffs) if c != 0
-    )
+    # pattern keys are the columns, in sorted order like the pivots
+    target_row = target_aug.entry_dict()
+    keys = sorted({k for entries in seen for k, _ in entries}.union(target_row))
+    chi = character_from_span(engine, target_row, keys)
+    values = tuple((k, c) for k, c in zip(keys, chi) if c != 0)
     return Decision(False, CharacterCert(values), params, rep_count)
 
 
@@ -302,6 +293,16 @@ def generates_all(
     return GeneratesAll(verdict, tuple(decisions))
 
 
+def _colex(n: int, k: int):
+    """Nonempty subsets of range(n) with at most k elements, lazily, in
+    the order of their reversed tuples."""
+    for j in range(n):
+        yield (j,)
+        if k > 1:
+            for rest in _colex(j, k - 1):
+                yield rest + (j,)
+
+
 def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     """A nonzero module element with at most k basis tuples, or None.
 
@@ -309,6 +310,13 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     coordinates in the integer grid 1..k*n, so it is enough to look for
     span vectors supported on at most k parameter-only patterns over that
     grid; such patterns lift exactly (their tuples are fixed pointwise).
+
+    The placed rows are eliminated once, with the singleton (parameter-
+    only) pattern columns last, for W, the span's intersection with those
+    columns (`coord_block_basis`).  Each candidate subset C is then tried against W
+    alone, as span ∩ <e_C> = W ∩ <e_C>.  Subsets run in the order of their
+    reversed tuples, and a column on which W vanishes is skipped: a subset
+    holding it hits only if the earlier subset without it does.
     """
     if k < 1:
         raise ValueError("support bound must be at least 1")
@@ -320,36 +328,20 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     n = generators[0].arity
     grid = [Fraction(i) for i in range(1, k * n + 1)]
     params = ParamSet.of(grid)
+    singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
 
     # distinct rows span the same space and give the same canonical
     # (reduced or Hermite) basis as all of them
     rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params)}
+    w = coord_block_basis(map(dict, rows), (text for text, _ in singleton), ring)
 
-    singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
-
-    keys = sorted(
-        {k_ for entries in rows for k_, _ in entries}
-        | {text for text, _ in singleton}
-    )
-    col = {k_: i for i, k_ in enumerate(keys)}
-    rows = [[d.get(k_, ring.zero()) for k_ in keys] for d in map(dict, rows)]
-
-    subsets = []
-    for size in range(1, k + 1):
-        subsets.extend(combinations(range(len(singleton)), size))
-    subsets.sort(key=lambda s: tuple(reversed(s)))
-    for subset in subsets:
-        coords = {col[singleton[i][0]] for i in subset}
-        hit = span_intersect_coords(rows, coords, ring)
-        if hit is None:
-            continue
-        terms = []
-        for i in subset:
-            text, tup = singleton[i]
-            v = hit[col[text]]
-            if not ring.is_zero(v):
-                terms.append((tup, v))
-        return ModVector.from_terms(ring, n, terms)
+    live = [i for i, (text, _) in enumerate(singleton) if any(text in row for row in w)]
+    for picks in _colex(len(live), k):
+        subset = [singleton[live[i]] for i in picks]
+        hit = span_intersect_coords(w, (text for text, _ in subset), ring)
+        if hit is not None:
+            return ModVector.from_terms(ring, n, [(tup, hit[text]) for text, tup in subset
+                                                  if text in hit])
     return None
 
 

@@ -1,16 +1,19 @@
-"""Exact span kernels: membership with coefficients, dual functionals,
-integer characters, and coordinate-constrained span search.
+"""Exact span kernels over sparse rows: membership with coefficients,
+dual functionals, integer characters, and coordinate-constrained span
+search.
 
-Each ring gets an incremental row-echelon engine over sparse rows
-(column index -> value) that tracks provenance, i.e. how every basis row
-was combined from the inserted vectors.  Membership answers therefore
-come with exact coefficients, and non-membership leaves behind the data
+Every row, in and out, is sparse: a dict or an iterable of
+(column, value) pairs, where columns are any sortable keys and pivot
+order is their sort order.  Each ring gets an incremental row-echelon
+engine (`make_span`) that tracks provenance, i.e. how every basis row
+was combined from the inserted rows.  Membership answers therefore come
+with exact coefficients, and non-membership leaves behind the data
 needed to build an independently checkable witness:
 
 * fields: a functional vanishing on the span but not on the target,
   read off the reduced row echelon basis;
-* Z: a rational character mod 1, built from the Smith normal form of
-  the lattice basis.
+* Z: a character into the rationals mod 1, built from the Smith normal
+  form of the lattice basis.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from permod.ring import (
-    INTEGERS,
     PRIME_FIELD,
     RATIONALS,
-    CharacterQZ,
     RingError,
     RingSpec,
     Scalar,
@@ -172,8 +173,6 @@ class RationalSpan:
     which the separating-functional construction relies on; with
     ``reduced=False`` basis rows stay in first-seen echelon form.
     """
-
-    ring = RingSpec(RATIONALS)
 
     def __init__(self, reduced: bool = True) -> None:
         self.reduced = reduced
@@ -347,8 +346,6 @@ class IntegerSpan:
     """Row echelon lattice basis over Z with provenance (pivots positive,
     leading columns distinct)."""
 
-    ring = RingSpec(INTEGERS)
-
     def __init__(self) -> None:
         self.rows: list[dict] = []
         self.prov: list[dict] = []
@@ -493,65 +490,20 @@ def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
     return [A[i][i] for i in range(r)], Q
 
 
-# ---------------------------------------------------------------------------
-# public operations on dense scalar vectors
-# ---------------------------------------------------------------------------
-
-
-def _check_shapes(target: Sequence, generators: Sequence[Sequence], ring: RingSpec):
-    tgt = [ring.normalize(v) for v in target]
-    gens = [[ring.normalize(v) for v in row] for row in generators]
-    if any(len(row) != len(tgt) for row in gens):
-        raise RingError("generator/target length mismatch")
-    return tgt, gens
-
-
-def span_membership(target: Sequence, generators: Sequence[Sequence], ring: RingSpec):
-    """Exact coefficients c with sum(c_j * gen_j) == target, else None.
-
-    Fields reduce against an incremental RREF basis; Z reduces against a
-    triangular lattice basis, demanding integral quotients.
-    """
-    tgt, gens = _check_shapes(target, generators, ring)
-    engine = make_span(ring)
-    for g in gens:
-        engine.insert(enumerate(g))
-    comb = engine.reduce_comb(enumerate(tgt))
-    if comb is None:
-        return None
-    return [comb.get(j, ring.zero()) for j in range(len(gens))]
-
-
-def dual_functional(target: Sequence, generators: Sequence[Sequence], ring: RingSpec):
-    """A vector phi with phi . gen_j = 0 for all j and phi . target != 0.
-
-    Only defined over fields (use `dual_character` for Z) and only when the
-    target is outside the span.
-    """
-    if not ring.is_field:
-        raise RingError("dual_functional needs a field; use dual_character over Z")
-    tgt, gens = _check_shapes(target, generators, ring)
-    engine = make_span(ring)
-    for g in gens:
-        engine.insert(enumerate(g))
-    phi = engine.functional(enumerate(tgt))
-    dense = [phi.get(c, ring.zero()) for c in range(len(tgt))]
-    return normalize_functional(dense, ring)
-
-
-def normalize_functional(dense: list, ring: RingSpec) -> list:
+def normalize_functional(row: dict, ring: RingSpec) -> dict:
+    """Scale a sparse field row: over Q to coprime integers, over GF(p) to
+    a unit, with the entry at the lowest column positive resp. 1."""
+    cols = sorted(row)
     if ring.kind == RATIONALS:
-        return [Fraction(v) for v in primitive_int_vector(dense)]
-    lead = next((v for v in dense if v), None)
-    if lead is not None:
-        inv = pow(lead, -1, ring.p)
-        dense = [v * inv % ring.p for v in dense]
-    return dense
+        return {c: Fraction(v) for c, v in zip(cols, primitive_int_vector([row[c] for c in cols]))}
+    inv = pow(row[cols[0]], -1, ring.p)
+    return {c: row[c] * inv % ring.p for c in cols}
 
 
-def character_from_span(engine: IntegerSpan, target: Sequence[int], cols: Sequence) -> CharacterQZ:
-    """Separating character for a target outside an already-built lattice
-    whose columns, in pivot order, are ``cols``.
+def character_from_span(engine: IntegerSpan, target: dict, cols: Sequence) -> tuple[Fraction, ...]:
+    """Separating character for a sparse target outside an already-built
+    lattice, as its values mod 1 on ``cols`` (the lattice's columns, in
+    pivot order).
 
     The obstruction column of the Smith form is the smallest elementary
     divisor exceeding 1 that fails on the target, with ties broken by the
@@ -559,7 +511,8 @@ def character_from_span(engine: IntegerSpan, target: Sequence[int], cols: Sequen
     """
     ncols = len(cols)
     divisors, Q = smith_with_colops(engine.dense_basis(cols), ncols)
-    s = [sum(target[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
+    dense = [target.get(c, 0) for c in cols]
+    s = [sum(dense[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
     rank = len(divisors)
     witnessed = [
         (divisors[j], j) for j in range(rank) if divisors[j] > 1 and s[j] % divisors[j]
@@ -572,61 +525,34 @@ def character_from_span(engine: IntegerSpan, target: Sequence[int], cols: Sequen
         if j is None:
             raise RingError("target lies in the span; no separating character")
         scale = Fraction(1, 2 * s[j])
-    return CharacterQZ(tuple(Q[i][j] * scale for i in range(ncols)))
+    return tuple(Q[i][j] * scale % 1 for i in range(ncols))
 
 
-def dual_character(target: Sequence[int], generators: Sequence[Sequence[int]]) -> CharacterQZ:
-    """A character mod 1 vanishing on the Z-span of the generators but not
-    on the target, built from the Smith normal form of the lattice basis.
+def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) -> list[dict]:
+    """A basis of the span's intersection with the ``coords`` coordinates,
+    in pivot order.
+
+    Re-echelonises with the other columns ordered first: the basis rows
+    whose pivots fall in the trailing block are supported on ``coords``
+    alone and span the intersection.  They are its RREF over a field and
+    its Hermite normal form over Z, and both are unique.
     """
-    ring = RingSpec(INTEGERS)
-    tgt, gens = _check_shapes(target, generators, ring)
-    n = len(tgt)
-    engine = IntegerSpan()
-    for g in gens:
-        engine.insert(enumerate(g))
-    if engine.reduce_comb(enumerate(tgt)) is not None:
-        raise RingError("target lies in the span; no separating character")
-    return character_from_span(engine, tgt, range(n))
-
-
-def span_intersect_coords(
-    generators: Sequence[Sequence], coords: Iterable[int], ring: RingSpec
-):
-    """A nonzero span vector vanishing outside ``coords``, else None.
-
-    Works by re-echelonising with the complement columns ordered first:
-    any basis row whose pivot falls in the trailing block is supported on
-    ``coords`` alone.
-    """
-    gens = [[ring.normalize(v) for v in g] for g in generators]
-    if not gens:
-        return None
-    n = len(gens[0])
-    if any(len(g) != n for g in gens):
-        raise RingError("generator length mismatch")
-    coords = sorted(set(coords))
-    if any(c < 0 or c >= n for c in coords):
-        raise RingError("coordinate index out of range")
-    others = [c for c in range(n) if c not in coords]
-    new_order = others + coords
-    new_of_old = {old: new for new, old in enumerate(new_order)}
-    block = len(others)
-
+    coords = set(coords)
     engine = make_span(ring)
-    for g in gens:
-        engine.insert((new_of_old[c], v) for c, v in enumerate(g))
-    if isinstance(engine, IntegerSpan):
+    for row in rows:
+        engine.insert(((c in coords, c), v) for c, v in row.items())
+    if not ring.is_field:
         engine.hnf_normalize()
-    hits = [(p, row) for p, row in engine.basis_pairs() if p >= block]
-    if not hits:
+    return [{c: v for (_, c), v in row.items()}
+            for (in_block, _), row in sorted(engine.basis_pairs(), key=lambda t: t[0])
+            if in_block]
+
+
+def span_intersect_coords(rows: Iterable[dict], coords: Iterable, ring: RingSpec):
+    """A nonzero span row vanishing outside ``coords``, else None: the
+    first row of `coord_block_basis`, scaled by `normalize_functional`
+    over a field."""
+    basis = coord_block_basis(rows, coords, ring)
+    if not basis:
         return None
-    _, row = min(hits, key=lambda t: t[0])
-    dense = [ring.zero()] * n
-    for c, v in row.items():
-        dense[new_order[c]] = v
-    if ring.kind == RATIONALS:
-        return [Fraction(v) for v in primitive_int_vector(dense)]
-    if ring.kind == PRIME_FIELD:
-        return normalize_functional(dense, ring)
-    return dense
+    return normalize_functional(basis[0], ring) if ring.is_field else basis[0]

@@ -21,9 +21,10 @@ RATIONALS = "Q"
 PRIME_FIELD = "GF"
 INTEGERS = "Z"
 
-_GF_NAME = re.compile(r"^GF\((\d+)\)$")
-_GF_SCALAR = re.compile(r"^(-?\d+)\s+mod\s+(\d+)$")
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+# ASCII digits only: `int` would also read every other Unicode digit
+_GF_NAME = re.compile(r"^GF\((\d+)\)$", re.ASCII)
+_GF_SCALAR = re.compile(r"^(-?\d+)\s+mod\s+(\d+)$", re.ASCII)
+_RATIONAL = re.compile(r"^(-?\d+)(?:/(-?\d+))?$", re.ASCII)
 
 
 class RingError(ValueError):
@@ -181,32 +182,6 @@ ZZ = RingSpec(INTEGERS)
 
 def GF(p: int) -> RingSpec:
     return RingSpec(PRIME_FIELD, p)
-
-
-@dataclass(frozen=True)
-class CharacterQZ:
-    """A homomorphism from integer vectors into the rationals mod 1.
-
-    ``coeffs[i]`` lies in [0, 1); the value on an integer vector is the
-    mod-1 sum of coordinatewise products.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) % 1 for c in self.coeffs))
-
-    def value(self, vector: Sequence[int]) -> Fraction:
-        if len(vector) != len(self.coeffs):
-            raise RingError("character/vector length mismatch")
-        return sum((c * v for c, v in zip(self.coeffs, vector)), Fraction(0)) % 1
-
-    def annihilates(self, vector: Sequence[int]) -> bool:
-        return self.value(vector) == 0
-
-    @property
-    def denominator(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
 
 
 def primitive_int_vector(values: Sequence[Fraction]) -> list[int]:

@@ -70,9 +70,6 @@ class ParamSet:
     def issuperset(self, other: "ParamSet") -> bool:
         return set(self.points) >= set(other.points)
 
-    def union(self, other: "ParamSet") -> "ParamSet":
-        return ParamSet.of(set(self.points) | set(other.points))
-
     def to_json(self) -> list[str]:
         return [str(p) for p in self.points]
 

@@ -166,6 +166,25 @@ def input_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("digits", ["\u0663", "\u0661/\u0662", "\uff17", "1/\u0968"])
+def test_non_ascii_digits_exit_2(files, capsys, tmp_path, digits):
+    """Arabic-Indic, fullwidth and Devanagari digits are not scalar text."""
+    t, g, _ = files
+    for vec in (
+        {"ring": "Q", "arity": 1, "terms": [{"coeff": digits, "tuple": ["0"]}]},
+        {"ring": "Q", "arity": 1, "terms": [{"coeff": "1", "tuple": [digits]}]},
+        {"ring": "GF(3)", "arity": 1, "terms": [{"coeff": f"{digits} mod 3", "tuple": ["0"]}]},
+        {"ring": "GF(\u0665)", "arity": 1, "terms": [{"coeff": "1", "tuple": ["0"]}]},
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(vec))
+        input_error(["decide", "--target", bad, "--gens", g], capsys)
+    input_error(["decide", "--target", t, "--gens", g, "--params", f"0,{digits},2"], capsys)
+    input_error(["omega", "--target", t, "--params", digits], capsys)
+    input_error(["decide", "--target", t, "--gens", g, "--ring", "GF(\u0665)"], capsys)
+    input_error(["decide", "--target", t, "--gens", g, "--ring", "GF(1\u0663)"], capsys)
+
+
 def test_character_with_zero_denominator_exit_2(files, capsys, tmp_path):
     z = tmp_path / "z.json"
     z.write_text(json.dumps(dict(X_MINUS, ring="Z")))

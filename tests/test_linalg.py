@@ -8,7 +8,7 @@ implementation under test.
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -19,38 +19,55 @@ from permod.linalg import (
     axpy_int,
     axpy_mod,
     axpy_q,
-    dual_character,
-    dual_functional,
+    character_from_span,
+    make_span,
+    normalize_functional,
     rowpair_int,
     scale_mod,
     scale_q,
     smith_with_colops,
     span_intersect_coords,
-    span_membership,
     xgcd,
 )
 from permod.ring import GF, QQ, ZZ, RingError
 
 
+def sparse(vector):
+    return {i: v for i, v in enumerate(vector) if v}
+
+
+def span_of(gens, ring):
+    """A span engine holding the given rows, inserted in order."""
+    engine = make_span(ring)
+    for g in gens:
+        engine.insert(sparse(g).items())
+    return engine
+
+
 def combine(coeffs, gens, ring):
+    """sum(coeffs[j] * gens[j]) for a sparse coefficient dict."""
     n = len(gens[0]) if gens else 0
     out = [ring.zero()] * n
-    for c, g in zip(coeffs, gens):
-        for i, v in enumerate(g):
+    for j, c in coeffs.items():
+        for i, v in enumerate(gens[j]):
             out[i] = ring.add(out[i], ring.mul(ring.normalize(c), ring.normalize(v)))
     return out
+
+
+def character_value(chi, vector):
+    return sum((c * v for c, v in zip(chi, vector)), Fraction(0)) % 1
 
 
 # -- membership --------------------------------------------------------------
 
 
 def test_membership_parity_obstruction_over_z():
-    assert span_membership([1, 1], [[2, 0], [0, 2]], ZZ) is None
+    assert span_of([[2, 0], [0, 2]], ZZ).reduce_comb(enumerate([1, 1])) is None
 
 
 def test_membership_field_division_over_q():
-    coeffs = span_membership([1, 1], [[2, 0], [0, 2]], QQ)
-    assert coeffs == [Fraction(1, 2), Fraction(1, 2)]
+    coeffs = span_of([[2, 0], [0, 2]], QQ).reduce_comb(enumerate([1, 1]))
+    assert coeffs == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_membership_gf2_matches_exhaustive_search():
@@ -61,11 +78,11 @@ def test_membership_gf2_matches_exhaustive_search():
     expected = [
         c
         for c in product(range(2), repeat=2)
-        if combine(c, gens, ring) == tgt
+        if combine(dict(enumerate(c)), gens, ring) == tgt
     ]
     assert expected == [(1, 1)]
-    coeffs = span_membership(target, gens, ring)
-    assert tuple(coeffs) in expected
+    coeffs = span_of(gens, ring).reduce_comb(enumerate(target))
+    assert tuple(coeffs.get(j, 0) for j in range(2)) in expected
 
 
 def test_membership_recombines_exactly():
@@ -77,9 +94,9 @@ def test_membership_recombines_exactly():
                 [rng.randint(-3, 3) for _ in range(n)]
                 for _ in range(rng.randint(0, 4))
             ]
-            coeffs = [rng.randint(-3, 3) for _ in gens]
+            coeffs = {j: rng.randint(-3, 3) for j in range(len(gens))}
             target = combine(coeffs, gens, ring)
-            got = span_membership(target, gens, ring)
+            got = span_of(gens, ring).reduce_comb(enumerate(target))
             assert got is not None
             assert combine(got, gens, ring) == target
 
@@ -90,27 +107,8 @@ def test_membership_z_implies_q():
         n = rng.randint(1, 4)
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         target = [rng.randint(-4, 4) for _ in range(n)]
-        if span_membership(target, gens, ZZ) is not None:
-            assert span_membership(target, gens, QQ) is not None
-
-
-def test_membership_shape_errors():
-    with pytest.raises(RingError):
-        span_membership([1, 2], [[1]], QQ)
-    with pytest.raises(RingError):
-        span_membership([Fraction(1, 2)], [[1]], ZZ)
-
-
-def test_ragged_generator_rows_rejected():
-    # the first row fits the target, a later one is shorter or longer
-    for ring in (QQ, GF(3), ZZ):
-        with pytest.raises(RingError):
-            span_membership([1, 0], [[1, 0], [1]], ring)
-    for ring in (QQ, GF(3)):
-        with pytest.raises(RingError):
-            dual_functional([1, 0], [[0, 1], [0, 1, 0]], ring)
-    with pytest.raises(RingError):
-        dual_character([1, 0], [[2, 0], [1]])
+        if span_of(gens, ZZ).reduce_comb(enumerate(target)) is not None:
+            assert span_of(gens, QQ).reduce_comb(enumerate(target)) is not None
 
 
 # -- dual functionals --------------------------------------------------------
@@ -129,22 +127,24 @@ def brute_force_functionals(target, gens, bound=2):
     return hits
 
 
-def test_dual_functional_hand_solved_system():
+def test_functional_hand_solved_system():
     target = [1, 0, 0]
     gens = [[1, -1, 0], [0, 1, -1]]
     oracle = brute_force_functionals(target, gens, bound=1)
     assert (1, 1, 1) in oracle
-    phi = dual_functional(target, gens, QQ)
-    assert phi == [Fraction(1), Fraction(1), Fraction(1)]
-    assert tuple(int(v) for v in phi) in oracle
+    phi = normalize_functional(span_of(gens, QQ).functional(enumerate(target)), QQ)
+    assert phi == {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}
+    assert tuple(int(phi.get(c, 0)) for c in range(3)) in oracle
 
 
-def test_dual_functional_empty_span():
-    assert dual_functional([1], [], GF(3)) == [1]
-    assert dual_functional([0, 1], [[1, 0]], QQ) == [Fraction(0), Fraction(1)]
+def test_functional_empty_span():
+    phi = span_of([], GF(3)).functional(enumerate([1]))
+    assert normalize_functional(phi, GF(3)) == {0: 1}
+    phi = span_of([[1, 0]], QQ).functional(enumerate([0, 1]))
+    assert normalize_functional(phi, QQ) == {1: Fraction(1)}
 
 
-def test_dual_functional_separates_randomized():
+def test_functional_separates_randomized():
     rng = random.Random(3)
     trials = 0
     while trials < 40:
@@ -152,51 +152,60 @@ def test_dual_functional_separates_randomized():
         ring = rng.choice([QQ, GF(2), GF(5)])
         gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         target = [rng.randint(-2, 2) for _ in range(n)]
-        if span_membership(target, gens, ring) is not None:
+        if span_of(gens, ring).reduce_comb(enumerate(target)) is not None:
             continue
         trials += 1
-        phi = dual_functional(target, gens, ring)
+        phi = normalize_functional(span_of(gens, ring).functional(enumerate(target)), ring)
         dot = lambda u, v: sum(
-            (ring.mul(ring.normalize(a), ring.normalize(b)) for a, b in zip(u, v)),
+            (ring.mul(ring.normalize(u.get(i, 0)), ring.normalize(b)) for i, b in enumerate(v)),
             start=ring.zero(),
-        ) if ring is QQ else sum(a * b for a, b in zip(u, v)) % ring.p
+        ) if ring is QQ else sum(u.get(i, 0) * b for i, b in enumerate(v)) % ring.p
         for g in gens:
             assert ring.is_zero(ring.normalize(dot(phi, g)))
         assert not ring.is_zero(ring.normalize(dot(phi, target)))
 
 
-def test_dual_functional_errors():
+def test_functional_errors():
     with pytest.raises(RingError):
-        dual_functional([1, 1], [[1, 1]], QQ)  # member
-    with pytest.raises(RingError):
-        dual_functional([1], [[2]], ZZ)  # not a field
+        span_of([[1, 1]], QQ).functional(enumerate([1, 1]))  # member
+    assert not hasattr(make_span(ZZ), "functional")  # not a field
 
 
 # -- integer characters ------------------------------------------------------
 
 
 def test_character_snf_diag_2_2():
-    chi = dual_character([1, 1], [[2, 0], [0, 2]])
-    assert chi.coeffs == (Fraction(1, 2), Fraction(0))
-    assert chi.annihilates([2, 0]) and chi.annihilates([0, 2])
-    assert chi.value([1, 1]) == Fraction(1, 2)
+    chi = character_from_span(span_of([[2, 0], [0, 2]], ZZ), sparse([1, 1]), range(2))
+    assert chi == (Fraction(1, 2), Fraction(0))
+    assert character_value(chi, [2, 0]) == 0 and character_value(chi, [0, 2]) == 0
+    assert character_value(chi, [1, 1]) == Fraction(1, 2)
+
+
+def test_character_values():
+    chi = character_from_span(span_of([[2, 0], [0, 2]], ZZ), sparse([1, 1]), range(2))
+    assert character_value(chi, (2, 5)) == 0
+    assert character_value(chi, (1, 1)) == Fraction(1, 2)
+    assert lcm(*(c.denominator for c in chi)) == 2
+    assert character_value(chi, (4, 9)) == 0
+    # a free direction with negative weight: -1/2 is reduced into [0, 1)
+    assert character_from_span(span_of([], ZZ), sparse([-1]), range(1)) == (Fraction(1, 2),)
 
 
 def test_character_empty_span():
-    chi = dual_character([1], [])
-    assert chi.coeffs == (Fraction(1, 2),)
+    chi = character_from_span(span_of([], ZZ), sparse([1]), range(1))
+    assert chi == (Fraction(1, 2),)
 
 
 def test_character_snf_single_6():
-    chi = dual_character([3], [[6]])
-    assert chi.coeffs == (Fraction(1, 6),)
-    assert chi.annihilates([6])
-    assert chi.value([3]) == Fraction(1, 2)
+    chi = character_from_span(span_of([[6]], ZZ), sparse([3]), range(1))
+    assert chi == (Fraction(1, 6),)
+    assert character_value(chi, [6]) == 0
+    assert character_value(chi, [3]) == Fraction(1, 2)
 
 
 def test_character_member_rejected():
     with pytest.raises(RingError):
-        dual_character([2], [[1]])
+        character_from_span(span_of([[1]], ZZ), {0: 2}, range(1))
 
 
 def test_character_separates_randomized():
@@ -206,13 +215,13 @@ def test_character_separates_randomized():
         n = rng.randint(1, 4)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         target = [rng.randint(-4, 4) for _ in range(n)]
-        if span_membership(target, gens, ZZ) is not None:
+        if span_of(gens, ZZ).reduce_comb(enumerate(target)) is not None:
             continue
         trials += 1
-        chi = dual_character(target, gens)
+        chi = character_from_span(span_of(gens, ZZ), sparse(target), range(n))
         for g in gens:
-            assert chi.annihilates(g)
-        assert chi.value(target) != 0
+            assert character_value(chi, g) == 0
+        assert character_value(chi, target) != 0
 
 
 # -- row kernels -------------------------------------------------------------
@@ -329,20 +338,21 @@ def test_xgcd_identity():
 
 
 def test_intersect_q_example():
-    got = span_intersect_coords([[1, -1, 0], [0, 1, -1]], {0, 2}, QQ)
+    gens = [{0: 1, 1: -1}, {1: 1, 2: -1}]
+    got = span_intersect_coords(gens, {0, 2}, QQ)
     assert got is not None
-    assert got[1] == 0 and got != [0, 0, 0]
+    assert 1 not in got and got
     # membership of the hit in the span, checked independently
-    assert span_membership(got, [[1, -1, 0], [0, 1, -1]], QQ) is not None
-    assert got == [Fraction(1), Fraction(0), Fraction(-1)]
+    assert span_of([[1, -1, 0], [0, 1, -1]], QQ).reduce_comb(got.items()) is not None
+    assert got == {0: Fraction(1), 2: Fraction(-1)}
 
 
 def test_intersect_none_when_coordinates_tied():
-    assert span_intersect_coords([[1, -1]], {0}, QQ) is None
+    assert span_intersect_coords([{0: 1, 1: -1}], {0}, QQ) is None
 
 
 def test_intersect_z_generator_itself():
-    assert span_intersect_coords([[2, 0]], {0}, ZZ) == [2, 0]
+    assert span_intersect_coords([{0: 2}], {0}, ZZ) == {0: 2}
 
 
 def test_intersect_randomized_soundness():
@@ -352,9 +362,9 @@ def test_intersect_randomized_soundness():
         ring = rng.choice([QQ, GF(3), ZZ])
         gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         coords = set(rng.sample(range(n), rng.randint(1, n)))
-        hit = span_intersect_coords(gens, coords, ring)
+        hit = span_intersect_coords([sparse(g) for g in gens], coords, ring)
         if hit is None:
             continue
-        assert any(not ring.is_zero(ring.normalize(v)) for v in hit)
-        assert all(ring.is_zero(ring.normalize(hit[i])) for i in range(n) if i not in coords)
-        assert span_membership(hit, gens, ring) is not None
+        assert any(not ring.is_zero(ring.normalize(v)) for v in hit.values())
+        assert all(ring.is_zero(ring.normalize(hit.get(i, 0))) for i in range(n) if i not in coords)
+        assert span_of(gens, ring).reduce_comb(hit.items()) is not None

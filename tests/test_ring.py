@@ -10,7 +10,6 @@ from permod.ring import (
     GF,
     QQ,
     ZZ,
-    CharacterQZ,
     RingError,
     RingSpec,
     is_prime,
@@ -107,16 +106,6 @@ def test_gf7_round_trip(r):
 def test_field_arithmetic():
     ring = GF(7)
     assert ring.neg(0) == 0
-
-
-def test_character_values():
-    chi = CharacterQZ((Fraction(1, 2), Fraction(0)))
-    assert chi.value((2, 5)) == 0
-    assert chi.value((1, 1)) == Fraction(1, 2)
-    assert chi.denominator == 2
-    assert chi.annihilates((4, 9))
-    chi2 = CharacterQZ((Fraction(3, 2),))  # reduced into [0, 1)
-    assert chi2.coeffs == (Fraction(1, 2),)
 
 
 def test_primitive_int_vector():
