@@ -128,11 +128,7 @@ def cmd_verify(args) -> int:
 def cmd_omega(args) -> int:
     ring = _ring_arg(args)
     target = _load_target(args.target, ring)
-    params = (
-        _parse_params(args.params)
-        if args.params is not None
-        else support_points(target)
-    )
+    params = _parse_params(args.params) if args.params is not None else support_points(target)
     print(_dump(omega(target, params).to_json()))
     return 0
 

@@ -114,13 +114,6 @@ def _dedup_orbits(generators: Sequence[ModVector]) -> list[ModVector]:
     return list(kept.values())
 
 
-def _stream(generators: Sequence[ModVector], params: ParamSet):
-    """(generator, slot map, omega row) for every placement, in order."""
-    for g in generators:
-        for slot_map, row in placed_rows(g, params):
-            yield g, slot_map, row
-
-
 def _rep_count(generators: Sequence[ModVector], params: ParamSet) -> int:
     return sum(
         placement_count(len(support_points(g).points), params.size) for g in generators
@@ -141,9 +134,10 @@ def membership(
     points (the verdict does not depend on the choice); ``witness_budget``
     caps the grid size of the optional explicit-witness search on YES.
 
-    Distinct rows go in in placement order, each naming its first
-    representative.  Over a field the stream stops once the target is in
-    the span; over Z every row goes in, as gcd steps may rewrite the basis.
+    Rows go in in placement order, each naming its representative, from
+    `placed_rows` pruned by the engine's residue: the rows it skips lie in
+    the span and would change neither basis nor provenance.  Over a field
+    the search stops once the target is in the span; over Z it runs on.
     """
     generators = list(generators)
     check_family([target, *generators])
@@ -158,12 +152,10 @@ def membership(
     target_aug = omega(target, params)
     engine = make_span(ring)
     first: list = []  # (generator, slot map) of each inserted row
-    seen: set = set()
     comb = {} if target_aug.is_zero else None
-    for g, slot_map, row in _stream(gens, params) if comb is None else ():
-        if row.entries in seen:
-            continue
-        seen.add(row.entries)
+    rows = ((g, slot_map, row) for g in gens
+            for slot_map, row in placed_rows(g, params, engine.residue))
+    for g, slot_map, row in rows if comb is None else ():
         first.append((g, slot_map))
         if engine.insert(row.entries) and ring.is_field:
             comb = engine.reduce_comb(target_aug.entries)
@@ -187,9 +179,9 @@ def membership(
         functional = AugVector.from_dict(ring, phi)
         return Decision(False, FunctionalCert(functional), params, rep_count)
 
-    # pattern keys are the columns, in sorted order like the pivots
+    # the basis rows' keys (those of all rows) are the columns, sorted like the pivots
     target_row = target_aug.entry_dict()
-    keys = sorted({k for entries in seen for k, _ in entries}.union(target_row))
+    keys = sorted({k for row in engine.rows for k in row}.union(target_row))
     chi = character_from_span(engine, target_row, keys)
     values = tuple((k, c) for k, c in zip(keys, chi) if c != 0)
     return Decision(False, CharacterCert(values), params, rep_count)
@@ -202,7 +194,10 @@ def verify_certificate(
 ) -> bool:
     """Recompute the representative count, the certified representatives
     and the coefficient sums from scratch and re-evaluate the certificate
-    identities.  False signals a defect."""
+    identities.  False signals a defect.  A NO certificate must pair to
+    zero with every placed row: pairing is additive over terms, so the
+    partial pairing is the residue that prunes `placed_rows`.
+    """
     try:
         generators = list(generators)
         check_family([target, *generators])
@@ -256,8 +251,8 @@ def verify_certificate(
             total = sum(table[k] * c for k, c in entries if k in table)
             return total % mod if mod else total
 
-        rows = {row.entries for _, _, row in _stream(gens, params)}
-        return all(pairing(r) == 0 for r in rows) and pairing(target_aug.entries) != 0
+        rows = (row for g in gens for _, row in placed_rows(g, params, pairing))
+        return not any(pairing(r.entries) for r in rows) and pairing(target_aug.entries) != 0
     except ValueError:
         return False
 
@@ -311,12 +306,13 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     span vectors supported on at most k parameter-only patterns over that
     grid; such patterns lift exactly (their tuples are fixed pointwise).
 
-    The placed rows are eliminated once, with the singleton (parameter-
-    only) pattern columns last, for W, the span's intersection with those
-    columns (`coord_block_basis`).  Each candidate subset C is then tried against W
-    alone, as span ∩ <e_C> = W ∩ <e_C>.  Subsets run in the order of their
-    reversed tuples, and a column on which W vanishes is skipped: a subset
-    holding it hits only if the earlier subset without it does.
+    The basis of the residue-pruned rows is eliminated again with the
+    singleton (parameter-only) pattern columns last, for W, the span's
+    intersection with those columns (`coord_block_basis`).  Each candidate
+    subset C is then tried against W alone, as span ∩ <e_C> = W ∩ <e_C>.
+    Subsets run in the order of their reversed tuples, and a column on
+    which W vanishes is skipped: a subset holding it hits only if the
+    earlier subset without it does.
     """
     if k < 1:
         raise ValueError("support bound must be at least 1")
@@ -330,10 +326,11 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     params = ParamSet.of(grid)
     singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
 
-    # distinct rows span the same space and give the same canonical
-    # (reduced or Hermite) basis as all of them
-    rows = {row.entries: None for _, _, row in _stream(_dedup_orbits(generators), params)}
-    w = coord_block_basis(map(dict, rows), (text for text, _ in singleton), ring)
+    engine = make_span(ring)
+    for g in _dedup_orbits(generators):
+        for _, row in placed_rows(g, params, engine.residue):
+            engine.insert(row.entries)
+    w = coord_block_basis((r for _, r in engine.basis_pairs()), (t for t, _ in singleton), ring)
 
     live = [i for i, (text, _) in enumerate(singleton) if any(text in row for row in w)]
     for picks in _colex(len(live), k):

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from permod.ring import (
     PRIME_FIELD,
     RATIONALS,
+    ZZ,
     RingError,
     RingSpec,
     Scalar,
@@ -90,14 +91,16 @@ def rowpair_int(ra: dict, rb: dict, x: int, y: int, u: int, v: int) -> None:
             del rb[k]
 
 
-def row_gcd(nums: dict, den: int) -> int:
-    # gcd of den and all numerators (den > 0 so the result is positive).
+def lowest_terms(nums: dict, den: int) -> int:
+    # divide den > 0 and all numerators by their gcd; returns the new den
     g = den
     for v in nums.values():
         g = gcd(g, v)
         if g == 1:
-            return 1
-    return g
+            return den
+    for k in nums:
+        nums[k] //= g
+    return den // g
 
 
 def axpy_q(dst: dict, dden: int, src: dict, sden: int, cn: int, cd: int) -> int:
@@ -119,13 +122,7 @@ def axpy_q(dst: dict, dden: int, src: dict, sden: int, cn: int, cd: int) -> int:
             dst[k] = w
         elif k in dst:
             del dst[k]
-    den = dden * a
-    g = row_gcd(dst, den)
-    if g > 1:
-        for k in dst:
-            dst[k] //= g
-        den //= g
-    return den
+    return lowest_terms(dst, dden * a)
 
 
 def scale_q(nums: dict, den: int, cn: int, cd: int) -> int:
@@ -134,13 +131,7 @@ def scale_q(nums: dict, den: int, cn: int, cd: int) -> int:
         cn, cd = -cn, -cd
     for k in nums:
         nums[k] *= cn
-    den *= cd
-    g = row_gcd(nums, den)
-    if g > 1:
-        for k in nums:
-            nums[k] //= g
-        den //= g
-    return den
+    return lowest_terms(nums, den * cd)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -156,6 +147,16 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+def _int_row(pairs: Pairs, p: int = 0) -> dict:
+    # nonzero int entries, mod p when p is set; one C-level sum finds any
+    # other entry (a Fraction), and those are read by the ring's own rules
+    row = {c: r for c, v in pairs if (r := v % p if p else v)}
+    if type(sum(row.values())) is not int:
+        ring = RingSpec(PRIME_FIELD, p) if p else ZZ
+        row = {c: r for c, v in row.items() if (r := ring.normalize(v))}
+    return row
 
 
 def _q_row(pairs: Pairs) -> tuple[dict, int]:
@@ -184,7 +185,7 @@ class RationalSpan:
         self.pivots: dict[int, int] = {}
         self.n_inserted = 0
 
-    def _reduce(self, nums: dict, den: int) -> tuple[dict, int, dict, int]:
+    def _reduce(self, nums: dict, den: int, track: bool = True) -> tuple[dict, int, dict, int]:
         row = dict(nums)
         comb: dict = {}
         cden = 1
@@ -196,13 +197,13 @@ class RationalSpan:
             i = self.pivots[c]
             fn, fd = row[c], den
             den = axpy_q(row, den, self.rows[i], self.dens[i], -fn, fd)
-            cden = axpy_q(comb, cden, self.prov[i], self.pdens[i], fn, fd)
+            if track:
+                cden = axpy_q(comb, cden, self.prov[i], self.pdens[i], fn, fd)
 
     def insert(self, pairs: Pairs) -> bool:
         idx = self.n_inserted
         self.n_inserted += 1
-        nums, den = _q_row(pairs)
-        row, den, comb, cden = self._reduce(nums, den)
+        row, den, comb, cden = self._reduce(*_q_row(pairs))
         if not row:
             return False
         pivot = min(row)
@@ -228,25 +229,23 @@ class RationalSpan:
 
     def reduce_comb(self, pairs: Pairs):
         """Coefficients over the inserted vectors, or None if outside the span."""
-        nums, den = _q_row(pairs)
-        row, den, comb, cden = self._reduce(nums, den)
-        if row:
-            return None
-        return {k: Fraction(v, cden) for k, v in comb.items()}
+        row, den, comb, cden = self._reduce(*_q_row(pairs))
+        return None if row else {k: Fraction(v, cden) for k, v in comb.items()}
 
-    def residual(self, pairs: Pairs) -> dict[int, Fraction]:
-        nums, den = _q_row(pairs)
-        row, den, _, _ = self._reduce(nums, den)
-        return {c: Fraction(v, den) for c, v in row.items()}
+    def residue(self, pairs: Pairs) -> tuple[tuple[int, Fraction], ...]:
+        """The residual against the basis as sorted (column, value) pairs:
+        its class modulo the span, canonical on the fully reduced basis."""
+        row, den, _, _ = self._reduce(*_q_row(pairs), track=False)
+        return tuple(sorted((c, Fraction(v, den)) for c, v in row.items()))
 
     def functional(self, pairs: Pairs) -> dict[int, Fraction]:
         """A functional annihilating the span but not the given vector."""
         if not self.reduced:
             raise RuntimeError("functional needs the fully reduced basis")
-        rho = self.residual(pairs)
+        rho = self.residue(pairs)
         if not rho:
             raise RingError("vector lies in the span; no separating functional")
-        j = min(c for c, v in rho.items() if v != 0)
+        j = rho[0][0]
         phi = {j: Fraction(1)}
         for i, row in enumerate(self.rows):
             if j in row:
@@ -272,7 +271,7 @@ class PrimeFieldSpan:
         self.pivots: dict[int, int] = {}
         self.n_inserted = 0
 
-    def _reduce(self, row: dict) -> tuple[dict, dict]:
+    def _reduce(self, row: dict, track: bool = True) -> tuple[dict, dict]:
         comb: dict = {}
         p = self.p
         while True:
@@ -283,14 +282,14 @@ class PrimeFieldSpan:
             i = self.pivots[c]
             f = row[c]
             axpy_mod(row, self.rows[i], p - f, p)
-            axpy_mod(comb, self.prov[i], f, p)
+            if track:
+                axpy_mod(comb, self.prov[i], f, p)
 
     def insert(self, pairs: Pairs) -> bool:
+        p = self.p
+        row, comb = self._reduce(_int_row(pairs, p))
         idx = self.n_inserted
         self.n_inserted += 1
-        p = self.p
-        row = {c: v % p for c, v in pairs if v % p}
-        row, comb = self._reduce(row)
         if not row:
             return False
         pivot = min(row)
@@ -312,26 +311,21 @@ class PrimeFieldSpan:
         return True
 
     def reduce_comb(self, pairs: Pairs):
-        p = self.p
-        row = {c: v % p for c, v in pairs if v % p}
-        row, comb = self._reduce(row)
-        if row:
-            return None
-        return comb
+        row, comb = self._reduce(_int_row(pairs, self.p))
+        return None if row else comb
 
-    def residual(self, pairs: Pairs) -> dict[int, int]:
-        p = self.p
-        row = {c: v % p for c, v in pairs if v % p}
-        row, _ = self._reduce(row)
-        return row
+    def residue(self, pairs: Pairs) -> tuple[tuple[int, int], ...]:
+        """See `RationalSpan.residue`."""
+        row, _ = self._reduce(_int_row(pairs, self.p), track=False)
+        return tuple(sorted(row.items()))
 
     def functional(self, pairs: Pairs) -> dict[int, int]:
         if not self.reduced:
             raise RuntimeError("functional needs the fully reduced basis")
-        rho = self.residual(pairs)
+        rho = self.residue(pairs)
         if not rho:
             raise RingError("vector lies in the span; no separating functional")
-        j = min(rho)
+        j = rho[0][0]
         phi = {j: 1}
         for i, row in enumerate(self.rows):
             if j in row:
@@ -354,9 +348,9 @@ class IntegerSpan:
         self.n_inserted = 0
 
     def insert(self, pairs: Pairs) -> bool:
+        row = _int_row(pairs)
         idx = self.n_inserted
         self.n_inserted += 1
-        row = {c: int(v) for c, v in pairs if v != 0}
         pr = {idx: 1}
         while row:
             lead = min(row)
@@ -383,7 +377,7 @@ class IntegerSpan:
         return False
 
     def reduce_comb(self, pairs: Pairs):
-        row = {c: int(v) for c, v in pairs if v != 0}
+        row = _int_row(pairs)
         comb: dict = {}
         while row:
             lead = min(row)
@@ -398,6 +392,19 @@ class IntegerSpan:
             axpy_int(row, self.rows[i], -q)
             axpy_int(comb, self.prov[i], q)
         return comb
+
+    def residue(self, pairs: Pairs) -> tuple[tuple[int, int], ...]:
+        """The class modulo the lattice as sorted (column, value) pairs, each
+        pivot column reduced into [0, pivot) in ascending order: canonical
+        for any echelon basis with positive pivots, Hermite form or not."""
+        row = _int_row(pairs)
+        while True:
+            hit = [c for c in row if c in self.pivots and not 0 <= row[c] < self.rows[self.pivots[c]][c]]
+            if not hit:
+                return tuple(sorted(row.items()))
+            c = min(hit)
+            pivot_row = self.rows[self.pivots[c]]
+            axpy_int(row, pivot_row, -(row[c] // pivot_row[c]))
 
     def hnf_normalize(self) -> None:
         """Reduce entries above each pivot into [0, pivot); canonical form."""
@@ -414,10 +421,6 @@ class IntegerSpan:
 
     def basis_pairs(self) -> list[tuple[int, dict[int, int]]]:
         return [(self.pivot_of[i], dict(row)) for i, row in enumerate(self.rows)]
-
-    def dense_basis(self, cols: Sequence) -> list[list[int]]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of[i])
-        return [[self.rows[i].get(c, 0) for c in cols] for i in order]
 
 
 def make_span(ring: RingSpec, reduced: bool = True):
@@ -510,7 +513,8 @@ def character_from_span(engine: IntegerSpan, target: dict, cols: Sequence) -> tu
     lowest coordinate; a free direction yields the value 1/2 instead.
     """
     ncols = len(cols)
-    divisors, Q = smith_with_colops(engine.dense_basis(cols), ncols)
+    basis = sorted(engine.basis_pairs(), key=lambda t: t[0])
+    divisors, Q = smith_with_colops([[row.get(c, 0) for c in cols] for _, row in basis], ncols)
     dense = [target.get(c, 0) for c in cols]
     s = [sum(dense[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
     rank = len(divisors)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from permod.ring import RingError, RingSpec, Scalar
-from permod.structure import ParamSet, parse_point, pattern_of_tuple, realize, slot_maps, slot_word
+from permod.structure import ParamSet, parse_point, pattern_of_tuple, realize, slot_word
 
 Tuple_ = tuple[Fraction, ...]
 
@@ -247,25 +247,47 @@ def place(v: ModVector, slot_map: Sequence[int], params: ParamSet) -> ModVector:
     return translate_onto(skeleton, v.ring, v.arity, realize(slot_map, params.points))
 
 
-def placed_rows(v: ModVector, params: ParamSet):
-    """Lazily yield (slot map, omega of its representative) for every
-    placement of v's support chain, in the lexicographic order of
-    `slot_maps`, without building representatives: keys come from
-    slots and chain indices, memoised per term and the slots of its
-    indices."""
+def placed_rows(v: ModVector, params: ParamSet, residue=None):
+    """Lazily yield (slot map, omega of its representative) for the
+    placements of v's support chain in lexicographic order: a depth-first
+    search places one chain point per level and carries the raw partial
+    row of the terms whose points are all placed (keys memoised per term).
+
+    Without a ``residue`` every placement is yielded.  With one (partial
+    row pairs -> hashable class modulo a span the caller grows by each
+    yielded row), a subtree is skipped when one finished earlier entered
+    with the same depth, next slot, slots of the points that open terms
+    still use, and residue: its rows add nothing to the span.
+    """
     chain, skeleton = chain_skeleton(v)
-    ring = v.ring
-    s = params.size
-    terms = [(idxs, coeff, {}) for idxs, coeff in skeleton]
-    for slot_map in slot_maps(len(chain), s):
-        acc: dict[str, Scalar] = {}
-        for idxs, coeff, keys in terms:
-            slots = tuple(map(slot_map.__getitem__, idxs))
-            key = keys.get(slots)
-            if key is None:
-                key = keys[slots] = slot_word(idxs, slots, s)
-            acc[key] = ring.add(acc[key], coeff) if key in acc else coeff
-        yield slot_map, AugVector(ring, tuple(sorted(kv for kv in acc.items() if kv[1] != 0)))
+    ring, s, m = v.ring, params.size, len(chain)
+    closing = [[(t, c, {}) for t, c in skeleton if max(t) == d - 1] for d in range(m + 1)]
+    live = [[j for j in range(d) if any(j in t and max(t) >= d for t, _ in skeleton)]
+            for d in range(m + 1)]
+    slot_map, done = [0] * m, {}
+
+    def search(d: int, lo: int, acc: dict):
+        if d == m:
+            yield tuple(slot_map), AugVector(ring, tuple(sorted(kv for kv in acc.items() if kv[1] != 0)))
+            return
+        for k in range(lo, 2 * s + 1):
+            slot_map[d] = k
+            row = dict(acc) if closing[d + 1] else acc
+            for idxs, coeff, keys in closing[d + 1]:
+                slots = tuple(map(slot_map.__getitem__, idxs))
+                key = keys.get(slots) or keys.setdefault(slots, slot_word(idxs, slots, s))
+                row[key] = ring.add(row[key], coeff) if key in row else coeff
+            nxt = k + (k & 1)
+            if residue is None or d + 1 == m:
+                yield from search(d + 1, nxt, row)
+                continue
+            state = (d, nxt, tuple(slot_map[j] for j in live[d + 1]))
+            if state in done and residue(row.items()) in done[state]:
+                continue
+            yield from search(d + 1, nxt, row)
+            done.setdefault(state, set()).add(residue(row.items()))
+
+    return search(0, 0, {})
 
 
 def orbit_canonical_form(v: ModVector) -> ModVector:

@@ -187,16 +187,9 @@ def GF(p: int) -> RingSpec:
 def primitive_int_vector(values: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers with positive leading entry."""
     fracs = [Fraction(v) for v in values]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    mult = lcm(*(f.denominator for f in fracs))
     ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]

@@ -7,13 +7,14 @@ Plain functions over one placement encoding, the integer slot map:
   tuples get equal keys exactly when an order automorphism fixing the
   parameters pointwise maps one to the other.
 
-* `slot_maps`: the inequivalent ways a finite chain can sit relative to
-  the parameter chain, as slot maps (slot ``2i`` is gap i, the open
-  interval below parameter i or the top gap when i is the parameter
-  count; slot ``2i+1`` is parameter i).  A slot map is non-decreasing
-  and puts at most one point on a parameter.  `slot_map_of` reads the
-  slot map of a concrete chain, `placement_count` counts them in closed
-  form and `realize` builds fresh rationals for one.
+* slot maps: the inequivalent ways a finite chain can sit relative to
+  the parameter chain (slot ``2i`` is gap i, the open interval below
+  parameter i or the top gap when i is the parameter count; slot
+  ``2i+1`` is parameter i).  A slot map is non-decreasing and puts at
+  most one point on a parameter.  `pmod.placed_rows` searches them in
+  lexicographic order, `slot_map_of` reads the slot map of a concrete
+  chain, `placement_count` counts them in closed form and `realize`
+  builds fresh rationals for one.
 
 The canonical key is a merged weak-order word over tokens ``p<i>``
 (parameters) and ``c<j>`` (tuple coordinates), e.g. ``p0<c1=c0<p1``.
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from permod.ring import QQ
 
@@ -124,23 +125,10 @@ def slot_map_of(chain: Sequence[Fraction], points: Sequence[Fraction]) -> tuple[
     return tuple(slots)
 
 
-def slot_maps(m: int, s: int) -> Iterator[tuple[int, ...]]:
-    """Every slot map of an m-chain over s parameters, lazily, in
-    lexicographic order."""
-
-    def rec(prefix: tuple[int, ...], lo: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m:
-            yield prefix
-        else:
-            for k in range(lo, 2 * s + 1):
-                yield from rec(prefix + (k,), k + (k & 1))
-
-    return rec((), 0)
-
-
 def placement_count(m: int, s: int) -> int:
-    """len(list(slot_maps(m, s))) without enumerating: ways[i] counts
-    the placements of the first i points into the slots seen so far."""
+    """The number of slot maps of an m-chain over s parameters, without
+    enumerating: ways[i] counts the placements of the first i points into
+    the slots seen so far."""
     ways = [1] + [0] * m
     for k in range(2 * s + 1):
         # a gap takes any number of points, a parameter at most one

@@ -4,12 +4,26 @@ streams integer slot maps instead; the tests compare the two."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from permod.pmod import ModVector, chain_skeleton, translate_onto
-from permod.structure import ParamSet, realize, slot_maps
+from permod.structure import ParamSet, realize
 
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
+
+
+def slot_maps(m: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Every slot map of an m-chain over s parameters, lazily, in
+    lexicographic order: the order `placed_rows` searches them in."""
+
+    def rec(prefix: tuple[int, ...], lo: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == m:
+            yield prefix
+        else:
+            for k in range(lo, 2 * s + 1):
+                yield from rec(prefix + (k,), k + (k & 1))
+
+    return rec((), 0)
 
 
 @dataclass(frozen=True)

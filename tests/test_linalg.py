@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from permod.linalg import (
     IntegerSpan,
+    PrimeFieldSpan,
     axpy_int,
     axpy_mod,
     axpy_q,
@@ -332,6 +333,61 @@ def test_xgcd_identity():
         x, y, g = xgcd(a, b)
         assert x * a + y * b == g
         assert g >= 0
+
+
+# -- residues and engine input -----------------------------------------------
+
+
+vectors4 = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+@given(
+    st.sampled_from([QQ, GF(2), GF(5), ZZ]),
+    st.lists(vectors4, max_size=4),
+    vectors4,
+    vectors4,
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_residue_is_a_canonical_class_modulo_the_span(ring, rows, v, w, coeffs):
+    """Equal residues exactly when the difference lies in the span, on
+    the echelon basis `insert` leaves (no Hermite form over Z)."""
+    engine = span_of(rows, ring)
+
+    def residue(vector):
+        return engine.residue(sparse(vector).items())
+
+    moved = list(v)
+    for c, row in zip(coeffs, rows):
+        moved = [a + c * b for a, b in zip(moved, row)]
+    assert residue(moved) == residue(v)
+    assert (residue(v) == ()) == (engine.reduce_comb(sparse(v).items()) is not None)
+    diff = [a - b for a, b in zip(v, w)]
+    assert (residue(v) == residue(w)) == (engine.reduce_comb(sparse(diff).items()) is not None)
+
+
+def test_rational_residue_keeps_its_denominator():
+    engine = span_of([[2, 1]], QQ)  # (1,0) reduces to (0,-1/2), (0,-1) stays
+    assert engine.residue({0: 1}.items()) == ((1, Fraction(-1, 2)),)
+    assert engine.residue({1: -1}.items()) == ((1, Fraction(-1)),)
+
+
+def test_engines_read_entries_by_the_ring_rules():
+    half = [(0, Fraction(1, 2))]
+    gf5 = PrimeFieldSpan(5)
+    assert gf5.residue(half) == ((0, 3),)  # 1/2 is 3 mod 5
+    assert gf5.insert(half) and gf5.basis_pairs() == [(0, {0: 1})]
+    assert gf5.reduce_comb([(0, Fraction(3, 2))]) == {0: 3}
+    with pytest.raises(RingError):
+        gf5.insert([(1, Fraction(1, 5))])
+    z = IntegerSpan()
+    for call in (z.insert, z.reduce_comb, z.residue):
+        with pytest.raises(RingError):
+            call(half)
+    # a rejected row takes no insertion index
+    assert z.n_inserted == 0 and z.insert([(0, Fraction(4, 2))]) and z.prov == [{0: 1}]
+    assert z.basis_pairs() == [(0, {0: 2})]
+    assert z.residue([(0, 5), (1, Fraction(1))]) == ((0, 1), (1, 1))
 
 
 # -- coordinate-constrained span ---------------------------------------------
