@@ -4,11 +4,13 @@ search.
 
 Every row, in and out, is sparse: a dict or an iterable of
 (column, value) pairs, where columns are any sortable keys and pivot
-order is their sort order.  Each ring gets an incremental row-echelon
-engine (`make_span`) that tracks provenance, i.e. how every basis row
-was combined from the inserted rows.  Membership answers therefore come
-with exact coefficients, and non-membership leaves behind the data
-needed to build an independently checkable witness:
+order is their sort order.  `make_span` gives an incremental row-echelon
+engine that tracks provenance, i.e. how every basis row was combined
+from the inserted rows: one `FieldSpan` for Q and every GF(p), which
+differ only in their scalar kernels, and `IntegerSpan` for Z.
+Membership answers therefore come with exact coefficients, and
+non-membership leaves behind the data needed to build an independently
+checkable witness:
 
 * fields: a functional vanishing on the span but not on the target,
   read off the reduced row echelon basis;
@@ -19,6 +21,7 @@ needed to build an independently checkable witness:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -36,28 +39,33 @@ Pairs = Iterable[tuple[int, Scalar]]
 
 
 # -- sparse-row kernels --------------------------------------------------------
-# Rows are dicts mapping column index to a nonzero value.  Rational rows
-# carry their entries as integer numerators over a single positive
-# denominator, so every kernel here is integer-only.
+# Rows are dicts mapping column index to a nonzero value.  Field rows carry
+# their entries as integer numerators over a single positive denominator,
+# which over GF(p) is always 1 (the entries are residues), so every kernel
+# here is integer-only.  The Q and GF(p) kernels share one argument list,
+# (dst, dden, src, sden, cn, cd), and return the new denominator.
 
 
-def axpy_mod(dst: dict, src: dict, c: int, p: int) -> None:
-    # dst += c * src (mod p), dropping zero entries.
-    c %= p
-    if c == 0:
-        return
-    for k, v in src.items():
-        w = (dst.get(k, 0) + c * v) % p
-        if w:
-            dst[k] = w
-        elif k in dst:
-            del dst[k]
+def axpy_mod(p: int, dst: dict, dden: int, src: dict, sden: int, cn: int, cd: int) -> int:
+    # dst += (cn/cd) * src (mod p), dropping zero entries; cd is a unit,
+    # and dden, sden are the ring's only denominator, 1
+    c = cn % p if cd == 1 else cn * pow(cd, -1, p) % p
+    if c:
+        for k, v in src.items():
+            w = (dst.get(k, 0) + c * v) % p
+            if w:
+                dst[k] = w
+            elif k in dst:
+                del dst[k]
+    return 1
 
 
-def scale_mod(row: dict, c: int, p: int) -> None:
-    # row *= c (mod p); c must be a unit.
-    for k in list(row):
+def scale_mod(p: int, row: dict, den: int, cn: int, cd: int) -> int:
+    # row *= cn/cd (mod p); cn and cd must be units
+    c = cn * pow(cd, -1, p) % p
+    for k in row:
         row[k] = row[k] * c % p
+    return 1
 
 
 def axpy_int(dst: dict, src: dict, c: int) -> None:
@@ -161,22 +169,36 @@ def _int_row(pairs: Pairs, p: int = 0) -> dict:
 
 def _q_row(pairs: Pairs) -> tuple[dict, int]:
     # integer numerators over one positive denominator, gcd-reduced
-    fracs = {c: Fraction(v) for c, v in pairs if v != 0}
-    den = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
-    nums = {c: f.numerator * (den // f.denominator) for c, f in fracs.items()}
-    return nums, den
+    row = {c: v for c, v in pairs if v != 0}
+    try:
+        den = lcm(*(v.denominator for v in row.values()))
+        return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
+    except AttributeError:  # a float or a string
+        raise RingError("entries over Q must be int or Fraction") from None
 
 
-class RationalSpan:
-    """Row echelon span over Q, grown one vector at a time.
+class FieldSpan:
+    """Row echelon span over Q (``p`` = 0) or GF(p), grown one vector at
+    a time.
 
-    With ``reduced=True`` (the default) the basis is kept fully reduced,
-    which the separating-functional construction relies on; with
+    Basis and provenance rows are integer numerators over one positive
+    denominator each; over GF(p) they are residues over 1.  The ring's
+    row reader, kernels and value function are picked here, once.  With
+    ``reduced=True`` (the default) the basis is kept fully reduced, which
+    the separating-functional construction relies on; with
     ``reduced=False`` basis rows stay in first-seen echelon form.
     """
 
-    def __init__(self, reduced: bool = True) -> None:
+    def __init__(self, p: int = 0, reduced: bool = True) -> None:
+        self.p = p
         self.reduced = reduced
+        if p:
+            self._read = lambda pairs: (_int_row(pairs, p), 1)
+            self._axpy = partial(axpy_mod, p)
+            self._scale = partial(scale_mod, p)
+            self._value = lambda n, d: n % p
+        else:
+            self._read, self._axpy, self._scale, self._value = _q_row, axpy_q, scale_q, Fraction
         self.rows: list[dict] = []
         self.dens: list[int] = []
         self.prov: list[dict] = []
@@ -185,40 +207,42 @@ class RationalSpan:
         self.pivots: dict[int, int] = {}
         self.n_inserted = 0
 
-    def _reduce(self, nums: dict, den: int, track: bool = True) -> tuple[dict, int, dict, int]:
-        row = dict(nums)
+    def _reduce(self, row: dict, den: int, track: bool = True) -> tuple[dict, int, dict, int]:
+        axpy, pivots = self._axpy, self.pivots
         comb: dict = {}
         cden = 1
         while True:
-            hit = [c for c in row if c in self.pivots]
+            hit = [c for c in row if c in pivots]
             if not hit:
                 return row, den, comb, cden
             c = min(hit)
-            i = self.pivots[c]
+            i = pivots[c]
             fn, fd = row[c], den
-            den = axpy_q(row, den, self.rows[i], self.dens[i], -fn, fd)
+            den = axpy(row, den, self.rows[i], self.dens[i], -fn, fd)
             if track:
-                cden = axpy_q(comb, cden, self.prov[i], self.pdens[i], fn, fd)
+                cden = axpy(comb, cden, self.prov[i], self.pdens[i], fn, fd)
 
     def insert(self, pairs: Pairs) -> bool:
+        axpy, scale = self._axpy, self._scale
+        row, den, comb, cden = self._reduce(*self._read(pairs))
         idx = self.n_inserted
         self.n_inserted += 1
-        row, den, comb, cden = self._reduce(*_q_row(pairs))
         if not row:
             return False
         pivot = min(row)
         pn, pd = row[pivot], den
-        den = scale_q(row, den, pd, pn)
+        den = scale(row, den, pd, pn)
         pnums = {idx: 1}
-        pden = axpy_q(pnums, 1, comb, cden, -1, 1)
-        pden = scale_q(pnums, pden, pd, pn)
+        pden = axpy(pnums, 1, comb, cden, -1, 1)
+        pden = scale(pnums, pden, pd, pn)
         if self.reduced:
             # clear the new pivot column from every older basis row
-            for i in range(len(self.rows)):
-                if pivot in self.rows[i]:
-                    fn, fd = self.rows[i][pivot], self.dens[i]
-                    self.dens[i] = axpy_q(self.rows[i], self.dens[i], row, den, -fn, fd)
-                    self.pdens[i] = axpy_q(self.prov[i], self.pdens[i], pnums, pden, -fn, fd)
+            dens, pdens = self.dens, self.pdens
+            for i, r in enumerate(self.rows):
+                if pivot in r:
+                    fn, fd = r[pivot], dens[i]
+                    dens[i] = axpy(r, fd, row, den, -fn, fd)
+                    pdens[i] = axpy(self.prov[i], pdens[i], pnums, pden, -fn, fd)
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
         self.dens.append(den)
@@ -229,16 +253,17 @@ class RationalSpan:
 
     def reduce_comb(self, pairs: Pairs):
         """Coefficients over the inserted vectors, or None if outside the span."""
-        row, den, comb, cden = self._reduce(*_q_row(pairs))
-        return None if row else {k: Fraction(v, cden) for k, v in comb.items()}
+        row, _, comb, cden = self._reduce(*self._read(pairs))
+        return None if row else {k: self._value(v, cden) for k, v in comb.items()}
 
-    def residue(self, pairs: Pairs) -> tuple[tuple[int, Fraction], ...]:
+    def residue(self, pairs: Pairs) -> tuple[tuple[int, Scalar], ...]:
         """The residual against the basis as sorted (column, value) pairs:
-        its class modulo the span, canonical on the fully reduced basis."""
-        row, den, _, _ = self._reduce(*_q_row(pairs), track=False)
-        return tuple(sorted((c, Fraction(v, den)) for c, v in row.items()))
+        its class modulo the span, canonical on any echelon basis."""
+        row, den, _, _ = self._reduce(*self._read(pairs), track=False)
+        value = self._value
+        return tuple(sorted((c, value(v, den)) for c, v in row.items()))
 
-    def functional(self, pairs: Pairs) -> dict[int, Fraction]:
+    def functional(self, pairs: Pairs) -> dict[int, Scalar]:
         """A functional annihilating the span but not the given vector."""
         if not self.reduced:
             raise RuntimeError("functional needs the fully reduced basis")
@@ -246,94 +271,18 @@ class RationalSpan:
         if not rho:
             raise RingError("vector lies in the span; no separating functional")
         j = rho[0][0]
-        phi = {j: Fraction(1)}
+        phi = {j: self._value(1, 1)}
         for i, row in enumerate(self.rows):
             if j in row:
-                phi[self.pivot_of[i]] = -Fraction(row[j], self.dens[i])
+                phi[self.pivot_of[i]] = self._value(-row[j], self.dens[i])
         return phi
 
-    def basis_pairs(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def basis_pairs(self) -> list[tuple[int, dict[int, Scalar]]]:
+        value = self._value
         return [
-            (self.pivot_of[i], {c: Fraction(v, self.dens[i]) for c, v in row.items()})
+            (self.pivot_of[i], {c: value(v, self.dens[i]) for c, v in row.items()})
             for i, row in enumerate(self.rows)
         ]
-
-
-class PrimeFieldSpan:
-    """Row echelon span over GF(p); see RationalSpan for ``reduced``."""
-
-    def __init__(self, p: int, reduced: bool = True) -> None:
-        self.p = p
-        self.reduced = reduced
-        self.rows: list[dict] = []
-        self.prov: list[dict] = []
-        self.pivot_of: list[int] = []
-        self.pivots: dict[int, int] = {}
-        self.n_inserted = 0
-
-    def _reduce(self, row: dict, track: bool = True) -> tuple[dict, dict]:
-        comb: dict = {}
-        p = self.p
-        while True:
-            hit = [c for c in row if c in self.pivots]
-            if not hit:
-                return row, comb
-            c = min(hit)
-            i = self.pivots[c]
-            f = row[c]
-            axpy_mod(row, self.rows[i], p - f, p)
-            if track:
-                axpy_mod(comb, self.prov[i], f, p)
-
-    def insert(self, pairs: Pairs) -> bool:
-        p = self.p
-        row, comb = self._reduce(_int_row(pairs, p))
-        idx = self.n_inserted
-        self.n_inserted += 1
-        if not row:
-            return False
-        pivot = min(row)
-        inv = pow(row[pivot], -1, p)
-        scale_mod(row, inv, p)
-        pnums = {idx: 1}
-        axpy_mod(pnums, comb, p - 1, p)
-        scale_mod(pnums, inv, p)
-        if self.reduced:
-            for i in range(len(self.rows)):
-                if pivot in self.rows[i]:
-                    f = self.rows[i][pivot]
-                    axpy_mod(self.rows[i], row, p - f, p)
-                    axpy_mod(self.prov[i], pnums, p - f, p)
-        self.pivots[pivot] = len(self.rows)
-        self.rows.append(row)
-        self.prov.append(pnums)
-        self.pivot_of.append(pivot)
-        return True
-
-    def reduce_comb(self, pairs: Pairs):
-        row, comb = self._reduce(_int_row(pairs, self.p))
-        return None if row else comb
-
-    def residue(self, pairs: Pairs) -> tuple[tuple[int, int], ...]:
-        """See `RationalSpan.residue`."""
-        row, _ = self._reduce(_int_row(pairs, self.p), track=False)
-        return tuple(sorted(row.items()))
-
-    def functional(self, pairs: Pairs) -> dict[int, int]:
-        if not self.reduced:
-            raise RuntimeError("functional needs the fully reduced basis")
-        rho = self.residue(pairs)
-        if not rho:
-            raise RingError("vector lies in the span; no separating functional")
-        j = rho[0][0]
-        phi = {j: 1}
-        for i, row in enumerate(self.rows):
-            if j in row:
-                phi[self.pivot_of[i]] = (-row[j]) % self.p
-        return phi
-
-    def basis_pairs(self) -> list[tuple[int, dict[int, int]]]:
-        return [(self.pivot_of[i], dict(row)) for i, row in enumerate(self.rows)]
 
 
 class IntegerSpan:
@@ -424,11 +373,7 @@ class IntegerSpan:
 
 
 def make_span(ring: RingSpec, reduced: bool = True):
-    if ring.kind == RATIONALS:
-        return RationalSpan(reduced)
-    if ring.kind == PRIME_FIELD:
-        return PrimeFieldSpan(ring.p, reduced)
-    return IntegerSpan()
+    return FieldSpan(ring.p or 0, reduced) if ring.is_field else IntegerSpan()
 
 
 def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from permod.linalg import IntegerSpan, make_span
+from permod.linalg import make_span
 from permod.pmod import (
     ModVector,
     act,
@@ -95,7 +95,7 @@ def grid_span(generators: Sequence[ModVector], size: int) -> list[ModVector]:
     ring = generators[0].ring
     arity = generators[0].arity
     engine, columns, _ = _span_of_placed(_placed_on_grid(generators, size), ring)
-    if isinstance(engine, IntegerSpan):
+    if not ring.is_field:
         engine.hnf_normalize()
     rows = sorted(engine.basis_pairs(), key=lambda pr: pr[0])
     return [

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from permod.linalg import (
     IntegerSpan,
-    PrimeFieldSpan,
     axpy_int,
     axpy_mod,
     axpy_q,
@@ -261,16 +260,25 @@ def test_row_kernels_match_plain_arithmetic(a, b, p, xyuv, aden, bden, cn, cd, s
         assert 0 not in row.values()
         assert row == want
 
-    # mod p: rows hold residues 1..p-1, as the field engines keep them
+    # mod p: rows hold residues 1..p-1 over the denominator 1, as the
+    # field engine keeps them
     am = {k: v % p for k, v in a.items() if v % p}
     bm = {k: v % p for k, v in b.items() if v % p}
     row = dict(am)
-    axpy_mod(row, bm, c, p)
+    assert axpy_mod(p, row, 1, bm, 1, c, 1) == 1
     stored(row, expect(lambda k: (am.get(k, 0) + c * bm.get(k, 0)) % p))
     unit = c % p or 1
     row = dict(am)
-    scale_mod(row, unit, p)
+    assert scale_mod(p, row, 1, unit, 1) == 1
     stored(row, expect(lambda k: am.get(k, 0) * unit % p))
+    if cd % p:  # a unit denominator divides
+        inv = pow(cd, -1, p)
+        row = dict(am)
+        assert axpy_mod(p, row, 1, bm, 1, c, cd) == 1
+        stored(row, expect(lambda k: (am.get(k, 0) + c * inv * bm.get(k, 0)) % p))
+        row = dict(am)
+        assert scale_mod(p, row, 1, unit, cd) == 1
+        stored(row, expect(lambda k: am.get(k, 0) * unit * inv % p))
 
     row = dict(a)
     axpy_int(row, b, c)
@@ -374,7 +382,7 @@ def test_rational_residue_keeps_its_denominator():
 
 def test_engines_read_entries_by_the_ring_rules():
     half = [(0, Fraction(1, 2))]
-    gf5 = PrimeFieldSpan(5)
+    gf5 = make_span(GF(5))
     assert gf5.residue(half) == ((0, 3),)  # 1/2 is 3 mod 5
     assert gf5.insert(half) and gf5.basis_pairs() == [(0, {0: 1})]
     assert gf5.reduce_comb([(0, Fraction(3, 2))]) == {0: 3}
@@ -388,6 +396,68 @@ def test_engines_read_entries_by_the_ring_rules():
     assert z.n_inserted == 0 and z.insert([(0, Fraction(4, 2))]) and z.prov == [{0: 1}]
     assert z.basis_pairs() == [(0, {0: 2})]
     assert z.residue([(0, 5), (1, Fraction(1))]) == ((0, 1), (1, 1))
+
+
+def test_rational_engine_refuses_floats_and_strings():
+    engine = make_span(QQ)
+    for entry in (0.1, "1/3"):
+        for call in (engine.insert, engine.reduce_comb, engine.residue):
+            with pytest.raises(RingError):
+                call([(0, entry)])
+    assert engine.n_inserted == 0 and engine.rows == []
+
+
+def canonical_nonzero(values, ring):
+    """Every value is a nonzero scalar in the ring's canonical form:
+    a `Fraction` over Q, a residue in 1..p-1 over GF(p)."""
+    return all(type(x) is type(ring.zero()) and ring.normalize(x) == x and not ring.is_zero(x)
+               for x in values)
+
+
+def pairing(phi, vector, ring):
+    total = ring.zero()
+    for i, v in enumerate(vector):
+        total = ring.add(total, ring.mul(ring.normalize(phi.get(i, 0)), ring.normalize(v)))
+    return total
+
+
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.lists(vectors4, max_size=6),
+    vectors4,
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_reduced_and_echelon_field_engines_agree(ring, rows, v, coeffs):
+    """The fully reduced engine and the first-seen echelon one, fed the
+    same rows, give the same insert results, the same coefficients
+    (unique over the rank-raising rows) and the same residues (canonical
+    on any echelon basis); the reduced engine's functional vanishes on
+    every row and not on the vector it separates.  Every value returned
+    is a canonical nonzero scalar of the ring."""
+    reduced, echelon = make_span(ring), make_span(ring, reduced=False)
+    for row in rows:
+        assert reduced.insert(sparse(row).items()) == echelon.insert(sparse(row).items())
+    member = [0] * 4
+    for c, row in zip(coeffs, rows):
+        member = [a + c * b for a, b in zip(member, row)]
+    for probe in (v, member):
+        pairs = sparse(probe).items()
+        comb = reduced.reduce_comb(pairs)
+        assert comb == echelon.reduce_comb(pairs)
+        rho = reduced.residue(pairs)
+        assert rho == echelon.residue(pairs)
+        assert canonical_nonzero([*(comb or {}).values(), *(x for _, x in rho)], ring)
+        if rho:
+            phi = reduced.functional(pairs)
+            assert canonical_nonzero(phi.values(), ring)
+            assert all(ring.is_zero(pairing(phi, row, ring)) for row in rows)
+            assert not ring.is_zero(pairing(phi, probe, ring))
+            with pytest.raises(RuntimeError):
+                echelon.functional(pairs)
+    assert reduced.reduce_comb(sparse(member).items()) is not None
+    for engine in (reduced, echelon):
+        assert canonical_nonzero([x for _, row in engine.basis_pairs() for x in row.values()], ring)
 
 
 # -- coordinate-constrained span ---------------------------------------------
