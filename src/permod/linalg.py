@@ -7,8 +7,9 @@ Every row, in and out, is sparse: a dict or an iterable of
 order is their sort order.  `make_span` gives an incremental row-echelon
 engine that tracks provenance, i.e. how every basis row was combined
 from the inserted rows: one `FieldSpan` for Q and every GF(p), which
-differ only in their scalar kernels, and `IntegerSpan` for Z.
-Membership answers therefore come with exact coefficients, and
+differ only in their scalar kernels, and `IntegerSpan` for Z.  (With
+``provenance=False`` it answers membership alone, over Z on a Hermite
+basis.)  Membership answers therefore come with exact coefficients, and
 non-membership leaves behind the data needed to build an independently
 checkable witness:
 
@@ -160,11 +161,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _int_row(pairs: Pairs, p: int = 0) -> dict:
     # nonzero int entries, mod p when p is set; one C-level sum finds any
     # other entry (a Fraction), and those are read by the ring's own rules
-    row = {c: r for c, v in pairs if (r := v % p if p else v)}
-    if type(sum(row.values())) is not int:
-        ring = RingSpec(PRIME_FIELD, p) if p else ZZ
-        row = {c: r for c, v in row.items() if (r := ring.normalize(v))}
-    return row
+    try:
+        row = {c: r for c, v in pairs if (r := v % p if p else v)}
+        if type(sum(row.values())) is int:
+            return row
+    except TypeError:  # a string
+        raise RingError("entries must be int or Fraction") from None
+    ring = RingSpec(PRIME_FIELD, p) if p else ZZ
+    return {c: r for c, v in row.items() if (r := ring.normalize(v))}
 
 
 def _q_row(pairs: Pairs) -> tuple[dict, int]:
@@ -187,11 +191,13 @@ class FieldSpan:
     ``reduced=True`` (the default) the basis is kept fully reduced, which
     the separating-functional construction relies on; with
     ``reduced=False`` basis rows stay in first-seen echelon form.
+    ``provenance=False`` keeps provenance rows empty; `reduce_comb` raises.
     """
 
-    def __init__(self, p: int = 0, reduced: bool = True) -> None:
+    def __init__(self, p: int = 0, reduced: bool = True, provenance: bool = True) -> None:
         self.p = p
         self.reduced = reduced
+        self.provenance = provenance
         if p:
             self._read = lambda pairs: (_int_row(pairs, p), 1)
             self._axpy = partial(axpy_mod, p)
@@ -224,7 +230,7 @@ class FieldSpan:
 
     def insert(self, pairs: Pairs) -> bool:
         axpy, scale = self._axpy, self._scale
-        row, den, comb, cden = self._reduce(*self._read(pairs))
+        row, den, comb, cden = self._reduce(*self._read(pairs), track=self.provenance)
         idx = self.n_inserted
         self.n_inserted += 1
         if not row:
@@ -232,7 +238,7 @@ class FieldSpan:
         pivot = min(row)
         pn, pd = row[pivot], den
         den = scale(row, den, pd, pn)
-        pnums = {idx: 1}
+        pnums = {idx: 1} if self.provenance else {}
         pden = axpy(pnums, 1, comb, cden, -1, 1)
         pden = scale(pnums, pden, pd, pn)
         if self.reduced:
@@ -253,6 +259,8 @@ class FieldSpan:
 
     def reduce_comb(self, pairs: Pairs):
         """Coefficients over the inserted vectors, or None if outside the span."""
+        if not self.provenance:
+            raise RuntimeError("reduce_comb needs an engine with provenance")
         row, _, comb, cden = self._reduce(*self._read(pairs))
         return None if row else {k: self._value(v, cden) for k, v in comb.items()}
 
@@ -287,9 +295,12 @@ class FieldSpan:
 
 class IntegerSpan:
     """Row echelon lattice basis over Z with provenance (pivots positive,
-    leading columns distinct)."""
+    leading columns distinct).  With ``provenance=False`` provenance rows
+    stay empty, `reduce_comb` raises, and each insert that changes the
+    basis ends in `hnf_normalize`, which keeps entries below the pivots."""
 
-    def __init__(self) -> None:
+    def __init__(self, provenance: bool = True) -> None:
+        self.provenance = provenance
         self.rows: list[dict] = []
         self.prov: list[dict] = []
         self.pivot_of: list[int] = []
@@ -300,7 +311,10 @@ class IntegerSpan:
         row = _int_row(pairs)
         idx = self.n_inserted
         self.n_inserted += 1
-        pr = {idx: 1}
+        pr = {idx: 1} if self.provenance else {}
+        # membership only: a member changes nothing, a non-member enters as its residue
+        if not (self.provenance or (row := dict(self.residue(row.items())))):
+            return False
         while row:
             lead = min(row)
             if lead not in self.pivots:
@@ -311,7 +325,7 @@ class IntegerSpan:
                 self.rows.append(row)
                 self.prov.append(pr)
                 self.pivot_of.append(lead)
-                return True
+                break
             i = self.pivots[lead]
             a = self.rows[i][lead]
             b = row[lead]
@@ -323,9 +337,13 @@ class IntegerSpan:
                 x, y, g = xgcd(a, b)
                 rowpair_int(self.rows[i], row, x, y, -(b // g), a // g)
                 rowpair_int(self.prov[i], pr, x, y, -(b // g), a // g)
-        return False
+        if not self.provenance:
+            self.hnf_normalize()
+        return bool(row)  # a new basis row
 
     def reduce_comb(self, pairs: Pairs):
+        if not self.provenance:
+            raise RuntimeError("reduce_comb needs an engine with provenance")
         row = _int_row(pairs)
         comb: dict = {}
         while row:
@@ -346,34 +364,32 @@ class IntegerSpan:
         """The class modulo the lattice as sorted (column, value) pairs, each
         pivot column reduced into [0, pivot) in ascending order: canonical
         for any echelon basis with positive pivots, Hermite form or not."""
-        row = _int_row(pairs)
-        while True:
-            hit = [c for c in row if c in self.pivots and not 0 <= row[c] < self.rows[self.pivots[c]][c]]
-            if not hit:
-                return tuple(sorted(row.items()))
+        return tuple(sorted(self._into_range(_int_row(pairs)).items()))
+
+    def _into_range(self, row: dict, own: int | None = None) -> dict:
+        # reduce the entries at pivot columns other than ``own`` into
+        # [0, pivot) in place, lowest column first
+        rows, pivots = self.rows, self.pivots
+        while hit := [c for c in row if c != own and c in pivots
+                      and not 0 <= row[c] < rows[pivots[c]][c]]:
             c = min(hit)
-            pivot_row = self.rows[self.pivots[c]]
+            pivot_row = rows[pivots[c]]
             axpy_int(row, pivot_row, -(row[c] // pivot_row[c]))
+        return row
 
     def hnf_normalize(self) -> None:
-        """Reduce entries above each pivot into [0, pivot); canonical form."""
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of[i])
-        for j in order:
-            pj = self.pivot_of[j]
-            a = self.rows[j][pj]
-            for i in range(len(self.rows)):
-                if i != j and pj in self.rows[i]:
-                    q = self.rows[i][pj] // a
-                    if q:
-                        axpy_int(self.rows[i], self.rows[j], -q)
-                        axpy_int(self.prov[i], self.prov[j], -q)
+        """The unique Hermite form: each row's entries past its pivot brought
+        into range, in place; a row already in range costs one pass.
+        Provenance does not follow, so only membership-only engines call this."""
+        for row, own in zip(self.rows, self.pivot_of):
+            self._into_range(row, own)
 
     def basis_pairs(self) -> list[tuple[int, dict[int, int]]]:
         return [(self.pivot_of[i], dict(row)) for i, row in enumerate(self.rows)]
 
 
-def make_span(ring: RingSpec, reduced: bool = True):
-    return FieldSpan(ring.p or 0, reduced) if ring.is_field else IntegerSpan()
+def make_span(ring: RingSpec, reduced: bool = True, provenance: bool = True):
+    return FieldSpan(ring.p or 0, reduced, provenance) if ring.is_field else IntegerSpan(provenance)
 
 
 def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
@@ -487,11 +503,9 @@ def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) ->
     its Hermite normal form over Z, and both are unique.
     """
     coords = set(coords)
-    engine = make_span(ring)
+    engine = make_span(ring, provenance=False)
     for row in rows:
         engine.insert(((c in coords, c), v) for c, v in row.items())
-    if not ring.is_field:
-        engine.hnf_normalize()
     return [{c: v for (_, c), v in row.items()}
             for (in_block, _), row in sorted(engine.basis_pairs(), key=lambda t: t[0])
             if in_block]

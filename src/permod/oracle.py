@@ -11,6 +11,12 @@ The search works on grid positions 0..size-1 (position i stands for the
 grid point i + 1): generators and target alike are placed by indexing
 their chain skeletons, columns are position tuples, and only the
 summands of a hit become vectors, as an `ExplicitWitness`.
+
+Grids are searched from small to large, and a hit on one grid is a hit
+on every larger one: the placed rows, their columns and the target's
+embeddings only grow.  So after a miss on the first grid the last grid
+is probed for membership alone, and the grids in between are built
+(with provenance, for the witness) only when an embedding survives it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from permod.pmod import (
     translate_onto,
 )
 from permod.ring import QQ, RingSpec, Scalar
-from permod.structure import gap_values
+from permod.structure import realize, slot_map_of
 
 
 @dataclass(frozen=True)
@@ -47,13 +53,8 @@ class ExplicitWitness:
         return total
 
     def to_json(self) -> dict:
-        return {
-            "type": "explicit-witness",
-            "summands": [
-                {"coeff": v.ring.format(c), "vector": v.to_json()}
-                for c, v in self.summands
-            ],
-        }
+        summands = [{"coeff": v.ring.format(c), "vector": v.to_json()} for c, v in self.summands]
+        return {"type": "explicit-witness", "summands": summands}
 
 
 def _placed_on_grid(generators: Sequence[ModVector], size: int) -> list:
@@ -71,11 +72,11 @@ def _placed_on_grid(generators: Sequence[ModVector], size: int) -> list:
     return placed
 
 
-def _span_of_placed(placed: Sequence, ring: RingSpec):
+def _span_of_placed(placed: Sequence, ring: RingSpec, provenance: bool = True):
     rows = [[(tuple(idxs[i] for i in t), c) for t, c in skeleton] for skeleton, idxs in placed]
     columns = sorted({t for row in rows for t, _ in row})
     col = {t: i for i, t in enumerate(columns)}
-    engine = make_span(ring, reduced=False)
+    engine = make_span(ring, reduced=False, provenance=provenance)
     for row in rows:
         engine.insert((col[t], c) for t, c in row)
     return engine, columns, col
@@ -92,18 +93,11 @@ def grid_span(generators: Sequence[ModVector], size: int) -> list[ModVector]:
     if not generators:
         return []
     check_family(generators)
-    ring = generators[0].ring
-    arity = generators[0].arity
-    engine, columns, _ = _span_of_placed(_placed_on_grid(generators, size), ring)
-    if not ring.is_field:
-        engine.hnf_normalize()
-    rows = sorted(engine.basis_pairs(), key=lambda pr: pr[0])
-    return [
-        ModVector.from_terms(
-            ring, arity, [(tuple(i + 1 for i in columns[c]), v) for c, v in row.items()]
-        )
-        for _, row in rows
-    ]
+    ring, arity = generators[0].ring, generators[0].arity
+    engine, columns, _ = _span_of_placed(_placed_on_grid(generators, size), ring, provenance=False)
+    points = [tuple(i + 1 for i in t) for t in columns]
+    return [ModVector.from_terms(ring, arity, [(points[c], v) for c, v in row.items()])
+            for _, row in sorted(engine.basis_pairs(), key=lambda pr: pr[0])]
 
 
 @dataclass(frozen=True)
@@ -117,27 +111,6 @@ class OracleResult:
         return self.status == "yes"
 
 
-def _unmap_grid(anchors: Sequence[Fraction], idxs: Sequence[int], n: int) -> list[Fraction]:
-    """Values for the n grid positions, strictly increasing, with the
-    anchors at positions ``idxs``: integer offsets outside the anchored
-    range, deterministic in-gap values between anchors."""
-    if not idxs:
-        return gap_values(None, None, n)
-    values: list[Fraction] = [Fraction(0)] * n
-    for a, i in zip(anchors, idxs):
-        values[i] = a
-    first, last = idxs[0], idxs[-1]
-    for j in range(first):
-        values[j] = anchors[0] - (first - j)
-    for j in range(last + 1, n):
-        values[j] = anchors[-1] + (j - last)
-    for k in range(len(idxs) - 1):
-        lo_i, hi_i = idxs[k], idxs[k + 1]
-        between = gap_values(anchors[k], anchors[k + 1], hi_i - lo_i - 1)
-        values[lo_i + 1:hi_i] = between
-    return values
-
-
 def oracle_membership(
     target: ModVector,
     generators: Sequence[ModVector],
@@ -145,11 +118,16 @@ def oracle_membership(
 ) -> OracleResult:
     """Search growing integer grids for an explicit witness.
 
-    The grid starts at support size + 2 (at least the longest generator
-    chain) and grows by 2 up to ``max_grid``.  On each grid, every
+    The grids run from support size + 2 (at least the longest generator
+    chain) up to ``max_grid`` in steps of 2.  On a grid, every
     order-embedding of the target's support into the grid is tried
     against the span of the placed generators; the first hit is unmapped
     back to the original coordinates.  Never conclusive for NO.
+
+    Past a first-grid miss, a membership-only probe of the last grid
+    runs first: hits only grow with the grid, so if no embedding
+    survives there, no grid can hit.  Otherwise the later grids are
+    searched in order, and the first hit is the same.
     """
     generators = list(generators)
     check_family([target, *generators])
@@ -157,17 +135,25 @@ def oracle_membership(
     anchors, target_skeleton = chain_skeleton(target)
     longest = max((len(support_points(g).points) for g in generators), default=0)
     start = max(len(anchors) + 2, longest, 1)
-    for size in range(start, max_grid + 1, 2):
+
+    def embedded(size: int, provenance: bool = True):
+        # (engine, placed, positions, target row) per embedding into grid columns
         placed = _placed_on_grid(generators, size)
-        engine, _, col = _span_of_placed(placed, ring)
+        engine, _, col = _span_of_placed(placed, ring, provenance)
         for idxs in combinations(range(size), len(anchors)):
             row = [(col.get(tuple(idxs[i] for i in t)), c) for t, c in target_skeleton]
-            if any(j is None for j, _ in row):
-                continue
+            if all(j is not None for j, _ in row):
+                yield engine, placed, idxs, row
+
+    sizes = range(start, max_grid + 1, 2)
+    for size in sizes:
+        if size == start + 2 and all(e.residue(row) for e, *_, row in embedded(sizes[-1], False)):
+            break
+        for engine, placed, idxs, row in embedded(size):
             comb = engine.reduce_comb(row)
             if comb is None:
                 continue
-            values = _unmap_grid(anchors, idxs, size)
+            values = realize(slot_map_of(range(size), idxs), anchors)
             witness = ExplicitWitness(tuple(
                 (c, translate_onto(placed[j][0], ring, arity, [values[i] for i in placed[j][1]]))
                 for j, c in sorted(comb.items()) if c != 0

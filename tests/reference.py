@@ -1,13 +1,26 @@
-"""Reference path for the placement stream: every placement realised as a
-concrete chain, and every representative built as a vector.  The library
-streams integer slot maps instead; the tests compare the two."""
+"""Reference paths the tests compare the library against.
+
+* The placement stream: every placement realised as a concrete chain,
+  and every representative built as a vector.  The library streams
+  integer slot maps instead.
+* The grid oracle's every-grid search: each grid from the first to the
+  last is built with provenance and searched in turn.  The library
+  probes the last grid for membership before building the middle ones.
+"""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
-from permod.pmod import ModVector, chain_skeleton, translate_onto
-from permod.structure import ParamSet, realize
+from permod.oracle import (
+    ExplicitWitness,
+    OracleResult,
+    _placed_on_grid,
+    _span_of_placed,
+)
+from permod.pmod import ModVector, chain_skeleton, check_family, support_points, translate_onto
+from permod.structure import ParamSet, gap_values, realize
 
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
 
@@ -56,3 +69,59 @@ def orbit_reps_over(v: ModVector, params: ParamSet) -> list[ModVector]:
         translate_onto(skeleton, v.ring, v.arity, placement.images)
         for placement in enumerate_placements(chain, params)
     ]
+
+
+def _unmap_grid(anchors: Sequence[Fraction], idxs: Sequence[int], n: int) -> list[Fraction]:
+    """Values for the n grid positions, strictly increasing, with the
+    anchors at positions ``idxs``: integer offsets outside the anchored
+    range, deterministic in-gap values between anchors."""
+    if not idxs:
+        return gap_values(None, None, n)
+    values: list[Fraction] = [Fraction(0)] * n
+    for a, i in zip(anchors, idxs):
+        values[i] = a
+    first, last = idxs[0], idxs[-1]
+    for j in range(first):
+        values[j] = anchors[0] - (first - j)
+    for j in range(last + 1, n):
+        values[j] = anchors[-1] + (j - last)
+    for k in range(len(idxs) - 1):
+        lo_i, hi_i = idxs[k], idxs[k + 1]
+        between = gap_values(anchors[k], anchors[k + 1], hi_i - lo_i - 1)
+        values[lo_i + 1:hi_i] = between
+    return values
+
+
+def oracle_every_grid(
+    target: ModVector,
+    generators: Sequence[ModVector],
+    max_grid: int,
+) -> OracleResult:
+    """The grid oracle as it searched before the last-grid probe: every
+    grid in order, each with a provenance engine, and the witness
+    unmapped by position arithmetic rather than by `realize`."""
+    generators = list(generators)
+    check_family([target, *generators])
+    ring, arity = target.ring, target.arity
+    anchors, target_skeleton = chain_skeleton(target)
+    longest = max((len(support_points(g).points) for g in generators), default=0)
+    start = max(len(anchors) + 2, longest, 1)
+    for size in range(start, max_grid + 1, 2):
+        placed = _placed_on_grid(generators, size)
+        engine, _, col = _span_of_placed(placed, ring)
+        for idxs in combinations(range(size), len(anchors)):
+            row = [(col.get(tuple(idxs[i] for i in t)), c) for t, c in target_skeleton]
+            if any(j is None for j, _ in row):
+                continue
+            comb = engine.reduce_comb(row)
+            if comb is None:
+                continue
+            values = _unmap_grid(anchors, idxs, size)
+            witness = ExplicitWitness(tuple(
+                (c, translate_onto(placed[j][0], ring, arity, [values[i] for i in placed[j][1]]))
+                for j, c in sorted(comb.items()) if c != 0
+            ))
+            if witness.evaluate(ring, arity) != target:
+                raise AssertionError("grid witness failed exact re-evaluation")
+            return OracleResult("yes", witness, size)
+    return OracleResult("inconclusive")

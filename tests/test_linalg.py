@@ -29,6 +29,7 @@ from permod.linalg import (
     span_intersect_coords,
     xgcd,
 )
+from permod.oracle import InstanceProfile, _placed_on_grid, random_instance
 from permod.ring import GF, QQ, ZZ, RingError
 
 
@@ -407,6 +408,19 @@ def test_rational_engine_refuses_floats_and_strings():
     assert engine.n_inserted == 0 and engine.rows == []
 
 
+def test_integer_row_engines_refuse_strings():
+    # over GF(p) "1/3" % p is string formatting, over Z the entry is kept
+    # as it is: both must end in RingError, before any insertion index
+    for ring in (GF(5), ZZ):
+        engine = make_span(ring)
+        for entry in ("1/3", "%d"):
+            for call in (engine.insert, engine.reduce_comb, engine.residue):
+                with pytest.raises(RingError):
+                    call([(0, 1), (1, entry)])
+        assert engine.n_inserted == 0 and engine.rows == []
+        assert engine.insert([(0, 1)]) and engine.prov == [{0: 1}]
+
+
 def canonical_nonzero(values, ring):
     """Every value is a nonzero scalar in the ring's canonical form:
     a `Fraction` over Q, a residue in 1..p-1 over GF(p)."""
@@ -458,6 +472,52 @@ def test_reduced_and_echelon_field_engines_agree(ring, rows, v, coeffs):
     assert reduced.reduce_comb(sparse(member).items()) is not None
     for engine in (reduced, echelon):
         assert canonical_nonzero([x for _, row in engine.basis_pairs() for x in row.values()], ring)
+
+
+def in_hermite_form(engine):
+    """Pivots positive, and every other row's entry in a pivot column in
+    [0, pivot)."""
+    for i, row in enumerate(engine.rows):
+        p = engine.pivot_of[i]
+        if min(row) != p or row[p] <= 0:
+            return False
+        if any(not 0 <= other.get(p, 0) < row[p] for j, other in enumerate(engine.rows) if j != i):
+            return False
+    return True
+
+
+@given(
+    st.sampled_from([QQ, GF(2), GF(5), ZZ]),
+    st.lists(vectors4, max_size=6),
+    st.lists(vectors4, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_membership_only_engines_agree_with_provenance_engines(ring, rows, probes):
+    """The ``provenance=False`` engine keeps no provenance and refuses
+    `reduce_comb`, yet gives the same insert results and residues as
+    the engine with provenance; over Z its basis is in Hermite form
+    after every insert."""
+    full, bare = make_span(ring), make_span(ring, reduced=False, provenance=False)
+    for row in rows:
+        assert full.insert(sparse(row).items()) == bare.insert(sparse(row).items())
+        assert all(pr == {} for pr in bare.prov)
+        assert ring.is_field or in_hermite_form(bare)
+    for v in [*probes, *rows]:
+        assert bare.residue(sparse(v).items()) == full.residue(sparse(v).items())
+    with pytest.raises(RuntimeError, match="provenance"):
+        bare.reduce_comb([(0, 1)])
+
+
+def test_membership_only_lattice_stays_small_on_an_explosive_grid():
+    """Grid 9 of the Z instance 953097914958 drives the unreduced
+    provenance engine's entries to 16916 bits; the Hermite engine stays
+    within 64 bits after every insert."""
+    inst = random_instance(953097914958, InstanceProfile(ring=ZZ))
+    engine = make_span(ZZ, reduced=False, provenance=False)
+    for skeleton, idxs in _placed_on_grid(inst.generators, 9):
+        engine.insert((tuple(idxs[i] for i in t), c) for t, c in skeleton)
+        assert max(abs(v).bit_length() for row in engine.rows for v in row.values()) <= 64
+    assert engine.n_inserted == 168 and in_hermite_form(engine)
 
 
 # -- coordinate-constrained span ---------------------------------------------

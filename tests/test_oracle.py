@@ -1,8 +1,11 @@
 """Grid oracle: spans, witness search, instance generation."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
+from reference import oracle_every_grid
 
 from permod.decide import membership
 from permod.oracle import (
@@ -157,3 +160,41 @@ def test_oracle_agrees_with_decider_on_small_batch():
             for c, w in res.witness.summands:
                 total = total.add(w.scale(c))
             assert total == inst.target
+
+
+def oracle_key(res):
+    witness = res.witness and json.dumps(res.witness.to_json(), sort_keys=True)
+    return res.status, res.grid_size, witness
+
+
+@pytest.mark.parametrize("seed", [953097914958, 994601624964, 1068538071434])
+def test_explosive_z_instances_settle_fast(seed):
+    """Z instances whose unreduced lattice basis explodes on the middle
+    grids (953097914958 took 10.8 s with every grid built): the
+    last-grid probe rules every embedding out at once."""
+    inst = random_instance(seed, InstanceProfile(ring=ZZ))
+    t0 = time.perf_counter()
+    res = oracle_membership(inst.target, list(inst.generators), 10)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "inconclusive"
+
+
+@pytest.mark.parametrize("ring, seed, grid", [
+    (QQ, 2300, 8), (QQ, 2474, 10), (GF(3), 2554, 8), (GF(3), 2018, 6),
+])
+def test_probe_keeps_later_grid_hits(ring, seed, grid):
+    """Hits past the first grid, the last one included, come from the
+    same grid with the same witness as the every-grid search."""
+    inst = random_instance(seed, InstanceProfile(ring=ring))
+    res = oracle_membership(inst.target, list(inst.generators), 10)
+    assert res.grid_size == grid
+    assert oracle_key(res) == oracle_key(oracle_every_grid(inst.target, list(inst.generators), 10))
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ], ids=lambda r: r.name)
+def test_oracle_matches_every_grid_search(ring):
+    for seed in range(2000, 2150):
+        inst = random_instance(seed, InstanceProfile(ring=ring))
+        gens = list(inst.generators)
+        assert oracle_key(oracle_membership(inst.target, gens, 10)) == \
+            oracle_key(oracle_every_grid(inst.target, gens, 10)), f"seed {seed}"
