@@ -40,13 +40,13 @@ from permod.pmod import (
     AugVector,
     ModVector,
     act,
+    chain_skeleton,
     check_family,
     omega,
-    orbit_canonical_form,
-    place,
     placed_rows,
     relabel,
     support_points,
+    translate_onto,
 )
 from permod.ring import RingError, RingSpec, Scalar
 from permod.structure import (
@@ -56,6 +56,7 @@ from permod.structure import (
     parse_point,
     pattern_of_tuple,
     placement_count,
+    realize,
     slot_map_of,
 )
 
@@ -106,18 +107,15 @@ class VerificationError(RuntimeError):
         self.decision = decision
 
 
-def _dedup_orbits(generators: Sequence[ModVector]) -> list[ModVector]:
-    # drop generators lying in the orbit of an earlier one
-    kept: dict[ModVector, ModVector] = {}
-    for g in generators:
-        kept.setdefault(orbit_canonical_form(g), g)
-    return list(kept.values())
+def _dedup_orbits(generators: Sequence[ModVector]) -> dict[tuple, int]:
+    """One record per orbit of the family, in first-seen order: chain
+    skeleton (the orbit's key: equal exactly when an increasing map joins
+    two generators) -> chain length, 0 for a zero generator."""
+    return {skeleton: len(chain) for chain, skeleton in map(chain_skeleton, generators)}
 
 
-def _rep_count(generators: Sequence[ModVector], params: ParamSet) -> int:
-    return sum(
-        placement_count(len(support_points(g).points), params.size) for g in generators
-    )
+def _rep_count(orbits: dict[tuple, int], params: ParamSet) -> int:
+    return sum(placement_count(m, params.size) for m in orbits.values())
 
 
 def membership(
@@ -147,16 +145,16 @@ def membership(
     if not params.issuperset(support):
         raise ValueError("parameter set must contain the support points of the target")
 
-    gens = _dedup_orbits(generators)
-    rep_count = _rep_count(gens, params)
+    orbits = _dedup_orbits(generators)
+    rep_count = _rep_count(orbits, params)
     target_aug = omega(target, params)
     engine = make_span(ring)
-    first: list = []  # (generator, slot map) of each inserted row
+    first: list = []  # (skeleton, slot map) of each inserted row
     comb = {} if target_aug.is_zero else None
-    rows = ((g, slot_map, row) for g in gens
-            for slot_map, row in placed_rows(g, params, engine.residue))
-    for g, slot_map, row in rows if comb is None else ():
-        first.append((g, slot_map))
+    rows = ((skeleton, slot_map, row) for skeleton in orbits
+            for slot_map, row in placed_rows(skeleton, ring, params, engine.residue))
+    for skeleton, slot_map, row in rows if comb is None else ():
+        first.append((skeleton, slot_map))
         if engine.insert(row.entries) and ring.is_field:
             comb = engine.reduce_comb(target_aug.entries)
             if comb is not None:
@@ -166,7 +164,9 @@ def membership(
 
     if comb is not None:
         terms = tuple(
-            (comb[j], place(*first[j], params)) for j in sorted(comb) if comb[j] != 0
+            (comb[j], translate_onto(first[j][0], ring, target.arity,
+                                     realize(first[j][1], params.points)))
+            for j in sorted(comb) if comb[j] != 0
         )
         explicit = None
         if witness_budget:
@@ -194,9 +194,13 @@ def verify_certificate(
 ) -> bool:
     """Recompute the representative count, the certified representatives
     and the coefficient sums from scratch and re-evaluate the certificate
-    identities.  False signals a defect.  A NO certificate must pair to
-    zero with every placed row: pairing is additive over terms, so the
-    partial pairing is the residue that prunes `placed_rows`.
+    identities.  False signals a defect.  A certified representative (and
+    an explicit witness's summand) is one lookup, not a loop over the
+    generators: its chain skeleton must be an orbit key of the family, and
+    a representative's chain the canonical realisation of its own slot map.
+    A NO certificate must pair to zero with every placed row: pairing is
+    additive over terms, so the partial pairing is the residue that prunes
+    `placed_rows`.
     """
     try:
         generators = list(generators)
@@ -205,8 +209,8 @@ def verify_certificate(
         params = decision.param_set
         if not params.issuperset(support_points(target)):
             return False
-        gens = _dedup_orbits(generators)
-        if decision.rep_count != _rep_count(gens, params):
+        orbits = _dedup_orbits(generators)
+        if decision.rep_count != _rep_count(orbits, params):
             return False
         target_aug = omega(target, params)
         cert = decision.certificate
@@ -216,25 +220,17 @@ def verify_certificate(
                 return False
             total = AugVector.from_dict(ring, {})
             for coeff, rep in cert.terms:
-                # rep must be the canonical representative of its placement
-                slot_map = slot_map_of(support_points(rep).points, params.points)
-                if ring.is_zero(coeff) or not any(
-                    len(support_points(g).points) == len(slot_map)
-                    and place(g, slot_map, params) == rep
-                    for g in gens
-                ):
+                chain, skeleton = chain_skeleton(rep)
+                if (skeleton not in orbits or (rep.ring, rep.arity) != (ring, target.arity)
+                        or realize(slot_map_of(chain, params.points), params.points) != chain
+                        or ring.is_zero(coeff)):
                     return False
                 total = total.add(omega(rep, params).scale(coeff))
             if total != target_aug:
                 return False
-            if cert.explicit is not None:
-                forms = {orbit_canonical_form(g) for g in generators}
-                for coeff, vec in cert.explicit.summands:
-                    if orbit_canonical_form(vec) not in forms:
-                        return False
-                if cert.explicit.evaluate(ring, target.arity) != target:
-                    return False
-            return True
+            return cert.explicit is None or (
+                all(chain_skeleton(vec)[1] in orbits for _, vec in cert.explicit.summands)
+                and cert.explicit.evaluate(ring, target.arity) == target)
 
         if isinstance(cert, FunctionalCert):
             if not ring.is_field or cert.functional.is_zero:
@@ -251,7 +247,8 @@ def verify_certificate(
             total = sum(table[k] * c for k, c in entries if k in table)
             return total % mod if mod else total
 
-        rows = (row for g in gens for _, row in placed_rows(g, params, pairing))
+        rows = (row for skeleton in orbits
+                for _, row in placed_rows(skeleton, ring, params, pairing))
         return not any(pairing(r.entries) for r in rows) and pairing(target_aug.entries) != 0
     except ValueError:
         return False
@@ -327,8 +324,8 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
 
     engine = make_span(ring)
-    for g in _dedup_orbits(generators):
-        for _, row in placed_rows(g, params, engine.residue):
+    for skeleton in _dedup_orbits(generators):
+        for _, row in placed_rows(skeleton, ring, params, engine.residue):
             engine.insert(row.entries)
     w = coord_block_basis((r for _, r in engine.basis_pairs()), (t for t, _ in singleton), ring)
 

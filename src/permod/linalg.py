@@ -158,11 +158,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def _exact_zero(v) -> bool:
+    # called on falsy entries only: an exact zero is dropped, and a falsy
+    # non-number ("", None, [], 0.0) is no scalar of any ring
+    if type(v) in (int, bool, Fraction):
+        return False
+    raise RingError(f"{v!r} is not a scalar")
+
+
 def _int_row(pairs: Pairs, p: int = 0) -> dict:
     # nonzero int entries, mod p when p is set; one C-level sum finds any
     # other entry (a Fraction), and those are read by the ring's own rules
     try:
-        row = {c: r for c, v in pairs if (r := v % p if p else v)}
+        row = {c: r for c, v in pairs if (r := v % p if p else v) or _exact_zero(r)}
         if type(sum(row.values())) is int:
             return row
     except TypeError:  # a string
@@ -173,7 +181,7 @@ def _int_row(pairs: Pairs, p: int = 0) -> dict:
 
 def _q_row(pairs: Pairs) -> tuple[dict, int]:
     # integer numerators over one positive denominator, gcd-reduced
-    row = {c: v for c, v in pairs if v != 0}
+    row = {c: v for c, v in pairs if v or _exact_zero(v)}
     try:
         den = lcm(*(v.denominator for v in row.values()))
         return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den

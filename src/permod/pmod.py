@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from permod.ring import RingError, RingSpec, Scalar
-from permod.structure import ParamSet, parse_point, pattern_of_tuple, realize, slot_word
+from permod.structure import ParamSet, parse_point, pattern_of_tuple, slot_word
 
 Tuple_ = tuple[Fraction, ...]
 
@@ -220,19 +220,19 @@ def omega(x: ModVector, params: ParamSet) -> AugVector:
     return AugVector.from_dict(ring, acc)
 
 
-def chain_skeleton(v: ModVector) -> tuple[tuple[Fraction, ...], list]:
+def chain_skeleton(v: ModVector) -> tuple[tuple[Fraction, ...], tuple]:
     """The support chain of v plus its terms with coordinates replaced by
-    chain indices; applying any increasing image of the chain is then pure
+    chain indices.  The skeleton is v's order type: two vectors of one
+    ring have equal skeletons exactly when an increasing map carries one
+    to the other, and applying any increasing image of the chain is pure
     tuple indexing."""
     chain = support_points(v).points
     index = {p: i for i, p in enumerate(chain)}
-    skeleton = [
-        (tuple(index[c] for c in tup), coeff) for tup, coeff in v.terms
-    ]
+    skeleton = tuple((tuple(index[c] for c in tup), coeff) for tup, coeff in v.terms)
     return chain, skeleton
 
 
-def translate_onto(v_skeleton: list, ring, arity, images: Sequence[Fraction]) -> ModVector:
+def translate_onto(v_skeleton: Sequence, ring, arity, images: Sequence[Fraction]) -> ModVector:
     # increasing maps preserve the lexicographic term order, so the
     # canonical form survives re-indexing as is
     terms = tuple(
@@ -241,17 +241,13 @@ def translate_onto(v_skeleton: list, ring, arity, images: Sequence[Fraction]) ->
     return ModVector(ring, arity, terms)
 
 
-def place(v: ModVector, slot_map: Sequence[int], params: ParamSet) -> ModVector:
-    """The representative of v at one placement of its support chain."""
-    _, skeleton = chain_skeleton(v)
-    return translate_onto(skeleton, v.ring, v.arity, realize(slot_map, params.points))
-
-
-def placed_rows(v: ModVector, params: ParamSet, residue=None):
+def placed_rows(skeleton: Sequence, ring: RingSpec, params: ParamSet, residue=None):
     """Lazily yield (slot map, omega of its representative) for the
-    placements of v's support chain in lexicographic order: a depth-first
-    search places one chain point per level and carries the raw partial
-    row of the terms whose points are all placed (keys memoised per term).
+    placements of a chain skeleton (`chain_skeleton`) over ``ring`` in
+    lexicographic order: a depth-first search places one chain point per
+    level and carries the raw partial row of the terms whose points are
+    all placed (keys memoised per term).  The representative at a slot
+    map is ``translate_onto(skeleton, ..., realize(slot_map, points))``.
 
     Without a ``residue`` every placement is yielded.  With one (partial
     row pairs -> hashable class modulo a span the caller grows by each
@@ -259,8 +255,8 @@ def placed_rows(v: ModVector, params: ParamSet, residue=None):
     with the same depth, next slot, slots of the points that open terms
     still use, and residue: its rows add nothing to the span.
     """
-    chain, skeleton = chain_skeleton(v)
-    ring, s, m = v.ring, params.size, len(chain)
+    # a zero vector's skeleton is empty: one placement, of the empty chain
+    s, m = params.size, 1 + max((i for t, _ in skeleton for i in t), default=-1)
     closing = [[(t, c, {}) for t, c in skeleton if max(t) == d - 1] for d in range(m + 1)]
     live = [[j for j in range(d) if any(j in t and max(t) >= d for t, _ in skeleton)]
             for d in range(m + 1)]
@@ -288,11 +284,3 @@ def placed_rows(v: ModVector, params: ParamSet, residue=None):
             done.setdefault(state, set()).add(residue(row.items()))
 
     return search(0, 0, {})
-
-
-def orbit_canonical_form(v: ModVector) -> ModVector:
-    """The translate of v whose support chain is 1..m; two vectors have
-    equal forms exactly when an increasing map carries one to the other."""
-    chain = support_points(v).points
-    mapping = {p: Fraction(i + 1) for i, p in enumerate(chain)}
-    return act(v, mapping)

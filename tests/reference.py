@@ -6,6 +6,9 @@
 * The grid oracle's every-grid search: each grid from the first to the
   last is built with provenance and searched in turn.  The library
   probes the last grid for membership before building the middle ones.
+* The YES verifier's representative check by placement: every generator
+  is placed at the certified representative's slot map and compared.
+  The library looks the representative's chain skeleton up instead.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from permod.oracle import (
     _span_of_placed,
 )
 from permod.pmod import ModVector, chain_skeleton, check_family, support_points, translate_onto
-from permod.structure import ParamSet, gap_values, realize
+from permod.structure import ParamSet, gap_values, realize, slot_map_of
 
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
 
@@ -125,3 +128,21 @@ def oracle_every_grid(
                 raise AssertionError("grid witness failed exact re-evaluation")
             return OracleResult("yes", witness, size)
     return OracleResult("inconclusive")
+
+
+def place(v: ModVector, slot_map: Sequence[int], params: ParamSet) -> ModVector:
+    """The representative of v at one placement of its support chain."""
+    _, skeleton = chain_skeleton(v)
+    return translate_onto(skeleton, v.ring, v.arity, realize(slot_map, params.points))
+
+
+def is_placed_rep(rep: ModVector, gens: Sequence[ModVector], params: ParamSet) -> bool:
+    """rep is the canonical representative of its placement of some
+    generator: the verifier's check of one certified term, with every
+    generator placed at rep's slot map."""
+    slot_map = slot_map_of(support_points(rep).points, params.points)
+    return any(
+        len(support_points(g).points) == len(slot_map)
+        and place(g, slot_map, params) == rep
+        for g in gens
+    )

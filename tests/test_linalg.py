@@ -419,6 +419,19 @@ def test_integer_row_engines_refuse_strings():
                     call([(0, 1), (1, entry)])
         assert engine.n_inserted == 0 and engine.rows == []
         assert engine.insert([(0, 1)]) and engine.prov == [{0: 1}]
+    # a falsy non-number is not a zero entry, and 0.0 is a float like any
+    # other; exact zeros (0, False, Fraction(0)) are still dropped
+    for ring in (QQ, GF(2), GF(5), ZZ):
+        engine = make_span(ring)
+        for entry in ("", None, [], 0.0, -0.0):
+            for call in (engine.insert, engine.reduce_comb, engine.residue):
+                with pytest.raises(RingError):
+                    call([(0, entry)])
+                with pytest.raises(RingError):
+                    call([(0, 1), (1, entry)])
+        assert engine.n_inserted == 0 and engine.rows == []
+        assert not engine.insert([(0, 0), (1, False), (2, Fraction(0))])
+        assert engine.insert([(0, 1)]) and engine.prov == [{1: 1}]
 
 
 def canonical_nonzero(values, ring):

@@ -11,8 +11,8 @@ from permod.pmod import (
     AugVector,
     ModVector,
     act,
+    chain_skeleton,
     omega,
-    orbit_canonical_form,
     relabel,
     support_points,
 )
@@ -141,11 +141,51 @@ def test_aug_zero():
     assert not aug_zero(mixed)
 
 
-def test_orbit_canonical_form():
+def test_chain_skeleton_is_the_orbit_key():
     v = qvec(1, [((3,), 1), ((7,), -1)])
     w = qvec(1, [((0,), 1), ((Fraction(1, 2),), -1)])
-    assert orbit_canonical_form(v) == orbit_canonical_form(w)
-    assert orbit_canonical_form(v) == qvec(1, [((1,), 1), ((2,), -1)])
+    assert chain_skeleton(v)[1] == chain_skeleton(w)[1]
+    assert chain_skeleton(v) == ((3, 7), (((0,), 1), ((1,), -1)))
+    assert chain_skeleton(ModVector.zero(QQ, 2)) == ((), ())
+
+
+# few points, arities and coefficients, so that unrelated draws often share
+# a skeleton
+SKELETON_POINTS = st.sampled_from([Fraction(v) for v in (-1, 0, Fraction(1, 3), 2)])
+
+
+@st.composite
+def small_vectors(draw, ring, arity):
+    terms = draw(st.lists(st.tuples(st.tuples(*[SKELETON_POINTS] * arity),
+                                    st.sampled_from([1, -1, 2])), max_size=3))
+    return ModVector.from_terms(ring, arity, terms)
+
+
+@st.composite
+def increasing_images(draw, n):
+    """n strictly increasing rationals."""
+    pts = draw(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=n, max_size=n,
+                        unique=True))
+    return sorted(pts)
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3), ZZ]), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_skeleton_is_the_order_type(ring, arity, data):
+    v = data.draw(small_vectors(ring, arity))
+    chain, skeleton = chain_skeleton(v)
+    # an increasing map changes the chain and keeps the skeleton
+    images = data.draw(increasing_images(len(chain)))
+    moved = act(v, dict(zip(chain, images)))
+    assert chain_skeleton(moved) == (tuple(images), skeleton)
+    # equal skeletons: the map from one chain onto the other carries one
+    # vector to the other; unequal ones: no increasing map does
+    w = data.draw(st.one_of(small_vectors(ring, arity), st.just(moved)))
+    other, w_skeleton = chain_skeleton(w)
+    if len(other) == len(chain):
+        assert (act(v, dict(zip(chain, other))) == w) == (w_skeleton == skeleton)
+    else:
+        assert w_skeleton != skeleton
 
 
 def test_json_round_trip_and_rejections():

@@ -19,9 +19,17 @@ from permod.decide import (
     verify_certificate,
 )
 from permod.linalg import make_span
-from permod.pmod import AugVector, ModVector, omega, place, placed_rows, support_points
+from permod.pmod import (
+    AugVector,
+    ModVector,
+    chain_skeleton,
+    omega,
+    placed_rows,
+    support_points,
+    translate_onto,
+)
 from permod.ring import GF, QQ, ZZ
-from permod.structure import ParamSet, placement_count
+from permod.structure import ParamSet, placement_count, realize
 from reference import enumerate_placements, orbit_reps_over, slot_maps
 
 RINGS = [QQ, GF(2), GF(3), GF(5), ZZ]
@@ -58,14 +66,21 @@ def family_and_params(draw):
     return [g] + [ModVector.from_terms(g.ring, g.arity, terms) for terms in more], params
 
 
+def rows_of(g, params, residue=None):
+    """`placed_rows` of a generator, through its chain skeleton."""
+    return placed_rows(chain_skeleton(g)[1], g.ring, params, residue)
+
+
 @given(generator_and_params())
 @settings(max_examples=150, deadline=None)
 def test_stream_rows_match_omega_of_reps(case):
     g, params = case
     reps = orbit_reps_over(g, params)
-    stream = list(placed_rows(g, params))
+    _, skeleton = chain_skeleton(g)
+    stream = list(placed_rows(skeleton, g.ring, params))
     assert [row for _, row in stream] == [omega(r, params) for r in reps]
-    assert [place(g, slot_map, params) for slot_map, _ in stream] == reps
+    assert [translate_onto(skeleton, g.ring, g.arity, realize(slot_map, params.points))
+            for slot_map, _ in stream] == reps
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -137,7 +152,7 @@ def _feed(gens, params, pruned):
     engine = make_span(gens[0].ring)
     names, changed = [], []
     for i, g in enumerate(gens):
-        for slot_map, row in placed_rows(g, params, engine.residue if pruned else None):
+        for slot_map, row in rows_of(g, params, engine.residue if pruned else None):
             before = _engine_state(engine)
             names.append((i, slot_map))
             engine.insert(row.entries)
@@ -263,7 +278,7 @@ def alternating(m, scale=1):
 
 def _first_nonzero(table, mod, gen, params):
     """Positions, in the full stream, of the rows ``table`` pairs nonzero."""
-    return [pos for pos, (_, row) in enumerate(placed_rows(gen, params))
+    return [pos for pos, (_, row) in enumerate(rows_of(gen, params))
             if _pair(table, row.entry_dict(), mod)]
 
 
@@ -298,7 +313,7 @@ def test_verify_rejects_a_chain_certificate_broken_at_its_last_span_step(ring, t
     field = ring if ring.is_field else QQ
     engine = make_span(field)
     raising = [(pos, row.entry_dict()) for pos, (_, row)
-               in enumerate(placed_rows(gen, d.param_set, engine.residue))
+               in enumerate(rows_of(gen, d.param_set, engine.residue))
                if engine.insert(row.entries)]
     before = make_span(field)
     for _, row in raising[:-1]:

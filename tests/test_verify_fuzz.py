@@ -5,17 +5,28 @@ identity (not merely differ from the emitted certificate — certificates
 are not unique), so the verifier has to answer False every time.
 """
 
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permod.cli import main
 from permod.decide import (
     CharacterCert,
     Decision,
     FunctionalCert,
     SpanWitnessCert,
+    decision_from_json,
+    decision_to_json,
     membership,
     verify_certificate,
 )
 from permod.oracle import InstanceProfile, random_instance
-from permod.pmod import AugVector, act, orbit_canonical_form, support_points
+from permod.pmod import AugVector, ModVector, act, chain_skeleton, support_points
 from permod.ring import GF, QQ, ZZ
+from permod.structure import ParamSet
+from reference import is_placed_rep, place, slot_maps
 
 RINGS = [QQ, GF(2), GF(3), ZZ]
 
@@ -49,8 +60,8 @@ def rep_swaps(decision: Decision, ring, gens):
         out.append(("off-canonical", ((coeff, moved),)))
     # -rep placed from -g, a generator outside the family unless -g lies
     # in the orbit of a generator
-    forms = {orbit_canonical_form(g) for g in gens}
-    if ring.neg(ring.one()) != ring.one() and orbit_canonical_form(rep.neg()) not in forms:
+    keys = {chain_skeleton(g)[1] for g in gens}
+    if ring.neg(ring.one()) != ring.one() and chain_skeleton(rep.neg())[1] not in keys:
         out.append(("foreign", ((ring.neg(coeff), rep.neg()),)))
     return [
         (kind, Decision(True, SpanWitnessCert(head + cert.terms[1:], cert.explicit),
@@ -146,3 +157,75 @@ def test_verifier_rejects_cross_instance_certificates():
             # the identities for this instance too; re-check the claim
             assert d_b.member == membership(inst_a.target, list(inst_a.generators)).member
     assert swaps > 10
+
+
+def test_verifier_rejects_reps_over_another_ring(tmp_path, capsys):
+    # Q copies of a GF(3) certificate's reps have the reps' chain skeletons
+    # (1 and 2 as Fractions hash like the residues), so only the ring
+    # comparison tells them apart
+    target = ModVector.from_terms(GF(3), 1, [((0,), 1), ((2,), -1)])
+    gens = [ModVector.from_terms(GF(3), 1, [((0,), 1), ((1,), -1)])]
+    d = membership(target, gens)
+    assert d.member and d.certificate.terms and verify_certificate(d, target, gens)
+    copies = tuple((c, ModVector.from_terms(QQ, rep.arity, rep.terms))
+                   for c, rep in d.certificate.terms)
+    assert [chain_skeleton(q) for _, q in copies] == \
+        [chain_skeleton(rep) for _, rep in d.certificate.terms]
+    obj = decision_to_json(Decision(True, SpanWitnessCert(copies), d.param_set, d.rep_count))
+    assert not verify_certificate(decision_from_json(obj, GF(3)), target, gens)
+
+    argv = ["verify"]
+    for flag, payload in (("decision", obj), ("target", target.to_json()),
+                          ("gens", [g.to_json() for g in gens])):
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(payload))
+        argv += [f"--{flag}", str(path)]
+    assert (main(argv), capsys.readouterr().out) == (3, '{"verified":false}\n')
+
+
+# -- the representative check against placing every generator ------------------
+
+AGREE_RINGS = [QQ, GF(2), GF(3), GF(5), ZZ]
+AGREE_POINTS = [Fraction(v) for v in (-1, 0, Fraction(1, 2), 1, 3)]
+
+
+@st.composite
+def agree_family(draw, ring, arity):
+    """One to three generators over ``ring``, one of them possibly zero."""
+    terms = st.lists(st.tuples(st.tuples(*[st.sampled_from(AGREE_POINTS)] * arity),
+                               st.sampled_from([-2, -1, 1, 2])), max_size=4)
+    return [ModVector.from_terms(ring, arity, t) for t in draw(st.lists(terms, min_size=1,
+                                                                         max_size=3))]
+
+
+def _placements(gens, params, rnd, k=12):
+    """Up to k canonical representatives of each generator."""
+    out = []
+    for g in gens:
+        maps = list(slot_maps(len(support_points(g).points), params.size))
+        out += [place(g, slot_map, params) for slot_map in rnd.sample(maps, min(k, len(maps)))]
+    return out
+
+
+@given(st.sampled_from(AGREE_RINGS), st.integers(1, 2), st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_skeleton_check_agrees_with_placing_every_generator(ring, arity, data, rnd):
+    gens = data.draw(agree_family(ring, arity))
+    others = data.draw(agree_family(ring, data.draw(st.integers(1, 2))))
+    params = ParamSet.of(data.draw(st.sets(st.sampled_from(AGREE_POINTS[1:] + [Fraction(2)]),
+                                           max_size=3)))
+    placed = _placements(gens, params, rnd)
+    reps = placed + _placements(others, params, rnd, 4)
+    reps += [moved for rep in placed if (moved := off_canonical(rep, params)) is not None]
+    reps += [rep.neg() for rep in placed]
+    other_ring = QQ if ring != QQ else GF(3)
+    reps += [ModVector.from_terms(other_ring, rep.arity, rep.terms) for rep in placed[:6]]
+    reps += [ModVector.zero(ring, arity), ModVector.zero(ring, 3 - arity)]
+    zero = ModVector.zero(ring, arity)
+    rep_count = membership(zero, gens, param_set=params).rep_count
+    one, minus = ring.one(), ring.neg(ring.one())
+    for rep in reps:
+        # the two terms cancel, so the zero target verifies exactly when
+        # rep passes the representative check
+        d = Decision(True, SpanWitnessCert(((one, rep), (minus, rep))), params, rep_count)
+        assert verify_certificate(d, zero, gens) == is_placed_rep(rep, gens, params), rep
