@@ -5,15 +5,16 @@ vector object, a generator set is an array of them) and writes canonical
 JSON to stdout: keys sorted, scalars as exact strings, no floats.
 Identical inputs produce byte-identical outputs.
 
-Exit codes: 0 decided/answered, 2 input error, 3 internal verification
-failure (an emitted certificate failed its own re-check; a bug, never a
-mathematical outcome).
+Exit codes: 0 decided/answered, 1 stdout closed early, 2 input error,
+3 internal verification failure (an emitted certificate failed its own
+re-check; a bug, never a mathematical outcome).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,13 +84,6 @@ def _ring_arg(args) -> RingSpec | None:
     return RingSpec.from_name(args.ring) if args.ring else None
 
 
-def _emit(args, payload: dict) -> None:
-    text = _dump(payload)
-    print(text)
-    if getattr(args, "emit_certificate", None):
-        Path(args.emit_certificate).write_text(text + "\n")
-
-
 def cmd_decide(args) -> int:
     ring = _ring_arg(args)
     target = _load_target(args.target, ring)
@@ -105,7 +99,10 @@ def cmd_decide(args) -> int:
     if not dec.verify_certificate(decision, target, gens):
         print("internal error: certificate failed re-verification", file=sys.stderr)
         return 3
-    _emit(args, dec.decision_to_json(decision))
+    text = _dump(dec.decision_to_json(decision))
+    if args.emit_certificate:  # first: stdout may close early
+        Path(args.emit_certificate).write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -321,10 +318,15 @@ def main(argv=None) -> int:
         for name in ("witness_budget", "max_grid"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name.replace('_', '-')} must not be negative")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the rest of the buffer goes to devnull, not to a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def entry() -> None:

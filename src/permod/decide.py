@@ -150,17 +150,13 @@ def membership(
     target_aug = omega(target, params)
     engine = make_span(ring)
     first: list = []  # (skeleton, slot map) of each inserted row
-    comb = {} if target_aug.is_zero else None
     rows = ((skeleton, slot_map, row) for skeleton in orbits
             for slot_map, row in placed_rows(skeleton, ring, params, engine.residue))
-    for skeleton, slot_map, row in rows if comb is None else ():
+    for skeleton, slot_map, row in () if target_aug.is_zero else rows:
         first.append((skeleton, slot_map))
-        if engine.insert(row.entries) and ring.is_field:
-            comb = engine.reduce_comb(target_aug.entries)
-            if comb is not None:
-                break
-    if comb is None and not ring.is_field:
-        comb = engine.reduce_comb(target_aug.entries)
+        if engine.insert(row.entries) and ring.is_field and not engine.residue(target_aug.entries):
+            break
+    comb = engine.reduce_comb(target_aug.entries)
 
     if comb is not None:
         terms = tuple(
@@ -179,12 +175,8 @@ def membership(
         functional = AugVector.from_dict(ring, phi)
         return Decision(False, FunctionalCert(functional), params, rep_count)
 
-    # the basis rows' keys (those of all rows) are the columns, sorted like the pivots
-    target_row = target_aug.entry_dict()
-    keys = sorted({k for row in engine.rows for k in row}.union(target_row))
-    chi = character_from_span(engine, target_row, keys)
-    values = tuple((k, c) for k, c in zip(keys, chi) if c != 0)
-    return Decision(False, CharacterCert(values), params, rep_count)
+    chi = character_from_span(engine, target_aug.entry_dict())
+    return Decision(False, CharacterCert(tuple(chi.items())), params, rep_count)
 
 
 def verify_certificate(

@@ -16,7 +16,8 @@ checkable witness:
 * fields: a functional vanishing on the span but not on the target,
   read off the reduced row echelon basis;
 * Z: a character into the rationals mod 1, built from the Smith normal
-  form of the lattice basis.
+  form of the lattice basis (its column transform kept by columns) and
+  returned as a sparse row of values mod 1.
 """
 
 from __future__ import annotations
@@ -405,61 +406,47 @@ def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
 
     Returns (divisors, Q) where the divisors are positive with d1 | d2 | ...
     and Q is the accumulated n x n column transform, so that the row span
-    of the input equals the row span of diag(divisors) * Q^-1.
+    of the input equals the row span of diag(divisors) * Q^-1.  The pivot
+    is the smallest nonzero entry, first in row-major order; Q is kept by
+    columns and transposed once, on return.
     """
     A = [list(r) for r in matrix]
     m = len(A)
     n = ncols
-    Q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Qc = [[int(i == j) for i in range(n)] for j in range(n)]
     r = 0
     while r < m and r < n:
-        best = None
-        for i in range(r, m):
-            for j in range(r, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
+        best = min(((abs(v), i, j) for i in range(r, m)
+                    for j, v in enumerate(A[i][r:n], r) if v), default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != r:
-            A[r], A[bi] = A[bi], A[r]
-        if bj != r:
-            for row in A:
-                row[r], row[bj] = row[bj], row[r]
-            for row in Q:
-                row[r], row[bj] = row[bj], row[r]
+        A[r], A[bi] = A[bi], A[r]
+        for row in A:
+            row[r], row[bj] = row[bj], row[r]
+        Qc[r], Qc[bj] = Qc[bj], Qc[r]
         if A[r][r] < 0:
             A[r] = [-v for v in A[r]]
         d = A[r][r]
-        dirty = False
         for i in range(r + 1, m):
             if A[i][r]:
                 q = A[i][r] // d
                 A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                if A[i][r]:
-                    dirty = True
         for j in range(r + 1, n):
             if A[r][j]:
                 q = A[r][j] // d
                 for row in A:
                     row[j] -= q * row[r]
-                for row in Q:
-                    row[j] -= q * row[r]
-                if A[r][j]:
-                    dirty = True
-        if dirty:
+                Qc[j] = [a - q * b for a, b in zip(Qc[j], Qc[r])]
+        if any(A[i][r] for i in range(r + 1, m)) or any(A[r][r + 1:n]):
             continue
-        ok = True
-        for i in range(r + 1, m):
-            bad = next((j for j in range(r + 1, n) if A[i][j] % d), None)
-            if bad is not None:
-                A[r] = [a + b for a, b in zip(A[r], A[i])]
-                ok = False
-                break
-        if ok:
+        # divisibility sweep: a row with an entry d does not divide joins row r
+        bad = next((i for i in range(r + 1, m) if any(v % d for v in A[i][r + 1:n])), None)
+        if bad is None:
             r += 1
-    return [A[i][i] for i in range(r)], Q
+        else:
+            A[r] = [a + b for a, b in zip(A[r], A[bad])]
+    return [A[i][i] for i in range(r)], [list(row) for row in zip(*Qc)]
 
 
 def normalize_functional(row: dict, ring: RingSpec) -> dict:
@@ -472,33 +459,30 @@ def normalize_functional(row: dict, ring: RingSpec) -> dict:
     return {c: row[c] * inv % ring.p for c in cols}
 
 
-def character_from_span(engine: IntegerSpan, target: dict, cols: Sequence) -> tuple[Fraction, ...]:
+def character_from_span(engine: IntegerSpan, target: dict) -> dict:
     """Separating character for a sparse target outside an already-built
-    lattice, as its values mod 1 on ``cols`` (the lattice's columns, in
-    pivot order).
+    lattice, as its nonzero values mod 1 by column.  The columns are the
+    basis rows' and the target's, sorted like the pivots.
 
     The obstruction column of the Smith form is the smallest elementary
     divisor exceeding 1 that fails on the target, with ties broken by the
     lowest coordinate; a free direction yields the value 1/2 instead.
     """
+    basis = [row for _, row in sorted(engine.basis_pairs(), key=lambda t: t[0])]
+    cols = sorted({c for row in basis for c in row}.union(target))
     ncols = len(cols)
-    basis = sorted(engine.basis_pairs(), key=lambda t: t[0])
-    divisors, Q = smith_with_colops([[row.get(c, 0) for c in cols] for _, row in basis], ncols)
+    divisors, Q = smith_with_colops([[row.get(c, 0) for c in cols] for row in basis], ncols)
     dense = [target.get(c, 0) for c in cols]
     s = [sum(dense[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
-    rank = len(divisors)
-    witnessed = [
-        (divisors[j], j) for j in range(rank) if divisors[j] > 1 and s[j] % divisors[j]
-    ]
+    witnessed = min(((d, j) for j, d in enumerate(divisors) if s[j] % d), default=None)
     if witnessed:
-        d, j = min(witnessed)
-        scale = Fraction(1, d)
+        d, j = witnessed
     else:
-        j = next((j for j in range(rank, ncols) if s[j]), None)
+        j = next((j for j in range(len(divisors), ncols) if s[j]), None)
         if j is None:
             raise RingError("target lies in the span; no separating character")
-        scale = Fraction(1, 2 * s[j])
-    return tuple(Q[i][j] * scale % 1 for i in range(ncols))
+        d = 2 * s[j]
+    return {c: v for c, q in zip(cols, Q) if (v := Fraction(q[j], d) % 1)}
 
 
 def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) -> list[dict]:

@@ -9,6 +9,10 @@
 * The YES verifier's representative check by placement: every generator
   is placed at the certified representative's slot map and compared.
   The library looks the representative's chain skeleton up instead.
+* The Smith form with a row-major transform and flag-guarded steps, and
+  the character on caller-given columns as a dense tuple.  The library
+  keeps the transform by columns and returns the character sparse, on
+  the columns it works out itself.
 """
 
 from dataclasses import dataclass
@@ -16,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from permod.linalg import IntegerSpan
 from permod.oracle import (
     ExplicitWitness,
     OracleResult,
@@ -23,6 +28,7 @@ from permod.oracle import (
     _span_of_placed,
 )
 from permod.pmod import ModVector, chain_skeleton, check_family, support_points, translate_onto
+from permod.ring import RingError
 from permod.structure import ParamSet, gap_values, realize, slot_map_of
 
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
@@ -146,3 +152,94 @@ def is_placed_rep(rep: ModVector, gens: Sequence[ModVector], params: ParamSet) -
         and place(g, slot_map, params) == rep
         for g in gens
     )
+
+
+def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
+    """Diagonalise an integer matrix by unimodular row/column operations.
+
+    Returns (divisors, Q) where the divisors are positive with d1 | d2 | ...
+    and Q is the accumulated n x n column transform, so that the row span
+    of the input equals the row span of diag(divisors) * Q^-1.
+    """
+    A = [list(r) for r in matrix]
+    m = len(A)
+    n = ncols
+    Q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    while r < m and r < n:
+        best = None
+        for i in range(r, m):
+            for j in range(r, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != r:
+            A[r], A[bi] = A[bi], A[r]
+        if bj != r:
+            for row in A:
+                row[r], row[bj] = row[bj], row[r]
+            for row in Q:
+                row[r], row[bj] = row[bj], row[r]
+        if A[r][r] < 0:
+            A[r] = [-v for v in A[r]]
+        d = A[r][r]
+        dirty = False
+        for i in range(r + 1, m):
+            if A[i][r]:
+                q = A[i][r] // d
+                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+                if A[i][r]:
+                    dirty = True
+        for j in range(r + 1, n):
+            if A[r][j]:
+                q = A[r][j] // d
+                for row in A:
+                    row[j] -= q * row[r]
+                for row in Q:
+                    row[j] -= q * row[r]
+                if A[r][j]:
+                    dirty = True
+        if dirty:
+            continue
+        ok = True
+        for i in range(r + 1, m):
+            bad = next((j for j in range(r + 1, n) if A[i][j] % d), None)
+            if bad is not None:
+                A[r] = [a + b for a, b in zip(A[r], A[i])]
+                ok = False
+                break
+        if ok:
+            r += 1
+    return [A[i][i] for i in range(r)], Q
+
+
+def character_from_span(engine: IntegerSpan, target: dict, cols: Sequence) -> tuple[Fraction, ...]:
+    """Separating character for a sparse target outside an already-built
+    lattice, as its values mod 1 on ``cols`` (the lattice's columns, in
+    pivot order).
+
+    The obstruction column of the Smith form is the smallest elementary
+    divisor exceeding 1 that fails on the target, with ties broken by the
+    lowest coordinate; a free direction yields the value 1/2 instead.
+    """
+    ncols = len(cols)
+    basis = sorted(engine.basis_pairs(), key=lambda t: t[0])
+    divisors, Q = smith_with_colops([[row.get(c, 0) for c in cols] for _, row in basis], ncols)
+    dense = [target.get(c, 0) for c in cols]
+    s = [sum(dense[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
+    rank = len(divisors)
+    witnessed = [
+        (divisors[j], j) for j in range(rank) if divisors[j] > 1 and s[j] % divisors[j]
+    ]
+    if witnessed:
+        d, j = min(witnessed)
+        scale = Fraction(1, d)
+    else:
+        j = next((j for j in range(rank, ncols) if s[j]), None)
+        if j is None:
+            raise RingError("target lies in the span; no separating character")
+        scale = Fraction(1, 2 * s[j])
+    return tuple(Q[i][j] * scale % 1 for i in range(ncols))

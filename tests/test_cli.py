@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -96,6 +97,28 @@ def test_decide_emit_certificate(files, capsys):
     )
     assert code == 0
     assert out_file.read_text().strip() == out.strip()
+
+
+def test_decide_closed_stdout_still_writes_certificate(files):
+    """A stdout whose reader is already gone: the certificate file is
+    written before stdout, the command exits 1 with nothing on stderr (no
+    traceback, no failed exit flush), and verify accepts the file."""
+    t, g, tmp = files
+    cert = tmp / "cert.json"
+    cli = [sys.executable, "-m", "permod.cli"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [*cli, "decide", "--target", t, "--gens", g, "--emit-certificate", cert],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    verify = subprocess.run([*cli, "verify", "--decision", cert, "--target", t, "--gens", g],
+                            capture_output=True)
+    assert verify.returncode == 0 and json.loads(verify.stdout) == {"verified": True}
 
 
 def test_verify_round_trip(files, capsys):
