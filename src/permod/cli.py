@@ -101,7 +101,10 @@ def cmd_decide(args) -> int:
         return 3
     text = _dump(dec.decision_to_json(decision))
     if args.emit_certificate:  # first: stdout may close early
-        Path(args.emit_certificate).write_text(text + "\n")
+        try:
+            Path(args.emit_certificate).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"{args.emit_certificate}: {exc}") from None
     print(text)
     return 0
 

@@ -16,8 +16,8 @@ checkable witness:
 * fields: a functional vanishing on the span but not on the target,
   read off the reduced row echelon basis;
 * Z: a character into the rationals mod 1, built from the Smith normal
-  form of the lattice basis (its column transform kept by columns) and
-  returned as a sparse row of values mod 1.
+  form of the lattice basis (which keeps Q as its list of column
+  operations) and returned as a sparse row of values mod 1.
 """
 
 from __future__ import annotations
@@ -401,52 +401,46 @@ def make_span(ring: RingSpec, reduced: bool = True, provenance: bool = True):
     return FieldSpan(ring.p or 0, reduced, provenance) if ring.is_field else IntegerSpan(provenance)
 
 
-def smith_with_colops(matrix: Sequence[Sequence[int]], ncols: int):
-    """Diagonalise an integer matrix by unimodular row/column operations.
-
-    Returns (divisors, Q) where the divisors are positive with d1 | d2 | ...
-    and Q is the accumulated n x n column transform, so that the row span
-    of the input equals the row span of diag(divisors) * Q^-1.  The pivot
-    is the smallest nonzero entry, first in row-major order; Q is kept by
-    columns and transposed once, on return.
-    """
-    A = [list(r) for r in matrix]
-    m = len(A)
-    n = ncols
-    Qc = [[int(i == j) for i in range(n)] for j in range(n)]
+def smith_with_colops(rows: Sequence[dict], cols: Sequence):
+    """Diagonalise sparse integer rows on the sorted ``cols`` by unimodular
+    row and column operations.  Returns (divisors, ops, perm): positive
+    divisors d1 | d2 | ... and the column transform Q = E1 ... Ek P, where
+    (k, c, q) in ``ops`` takes q times column c from column k and P puts
+    column perm[j] at position j; the input's row span is the row span of
+    diag(divisors) * Q^-1.  The pivot is the smallest nonzero entry, first
+    in row-major order."""
+    A = [dict(row) for row in rows]
+    perm = list(cols)
+    pos = {c: j for j, c in enumerate(perm)}
+    ops = []
     r = 0
-    while r < m and r < n:
-        best = min(((abs(v), i, j) for i in range(r, m)
-                    for j, v in enumerate(A[i][r:n], r) if v), default=None)
-        if best is None:
-            break
+    while best := min(((abs(v), i, pos[c]) for i in range(r, len(A)) for c, v in A[i].items()),
+                      default=None):
         _, bi, bj = best
         A[r], A[bi] = A[bi], A[r]
-        for row in A:
-            row[r], row[bj] = row[bj], row[r]
-        Qc[r], Qc[bj] = Qc[bj], Qc[r]
-        if A[r][r] < 0:
-            A[r] = [-v for v in A[r]]
-        d = A[r][r]
-        for i in range(r + 1, m):
-            if A[i][r]:
-                q = A[i][r] // d
-                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-        for j in range(r + 1, n):
-            if A[r][j]:
-                q = A[r][j] // d
-                for row in A:
-                    row[j] -= q * row[r]
-                Qc[j] = [a - q * b for a, b in zip(Qc[j], Qc[r])]
-        if any(A[i][r] for i in range(r + 1, m)) or any(A[r][r + 1:n]):
+        perm[r], perm[bj] = perm[bj], perm[r]
+        pos[perm[r]], pos[perm[bj]] = r, bj
+        c = perm[r]
+        if A[r][c] < 0:
+            A[r] = {k: -v for k, v in A[r].items()}
+        d = A[r][c]
+        for row in A[r + 1:]:
+            if c in row:
+                axpy_int(row, A[r], -(row[c] // d))
+        qs = {k: v // d for k, v in A[r].items() if k != c}
+        ops.extend((k, c, q) for k, q in qs.items())
+        for row in A[r:]:
+            if c in row:
+                axpy_int(row, qs, -row[c])
+        if len(A[r]) > 1 or any(c in row for row in A[r + 1:]):
             continue
         # divisibility sweep: a row with an entry d does not divide joins row r
-        bad = next((i for i in range(r + 1, m) if any(v % d for v in A[i][r + 1:n])), None)
+        bad = next((row for row in A[r + 1:] if any(v % d for v in row.values())), None)
         if bad is None:
             r += 1
         else:
-            A[r] = [a + b for a, b in zip(A[r], A[bad])]
-    return [A[i][i] for i in range(r)], [list(row) for row in zip(*Qc)]
+            axpy_int(A[r], bad, 1)
+    return [A[i][perm[i]] for i in range(r)], ops, perm
 
 
 def normalize_functional(row: dict, ring: RingSpec) -> dict:
@@ -467,22 +461,25 @@ def character_from_span(engine: IntegerSpan, target: dict) -> dict:
     The obstruction column of the Smith form is the smallest elementary
     divisor exceeding 1 that fails on the target, with ties broken by the
     lowest coordinate; a free direction yields the value 1/2 instead.
-    """
-    basis = [row for _, row in sorted(engine.basis_pairs(), key=lambda t: t[0])]
+    target * Q replays the column operations, column j of Q them reversed."""
+    basis = [engine.rows[i] for _, i in sorted(engine.pivots.items())]
     cols = sorted({c for row in basis for c in row}.union(target))
-    ncols = len(cols)
-    divisors, Q = smith_with_colops([[row.get(c, 0) for c in cols] for row in basis], ncols)
-    dense = [target.get(c, 0) for c in cols]
-    s = [sum(dense[i] * Q[i][j] for i in range(ncols)) for j in range(ncols)]
-    witnessed = min(((d, j) for j, d in enumerate(divisors) if s[j] % d), default=None)
+    divisors, ops, perm = smith_with_colops(basis, cols)
+    s = dict.fromkeys(cols, 0) | target
+    for k, c, q in ops:
+        s[k] -= q * s[c]
+    witnessed = min(((d, j) for j, d in enumerate(divisors) if s[perm[j]] % d), default=None)
     if witnessed:
         d, j = witnessed
     else:
-        j = next((j for j in range(len(divisors), ncols) if s[j]), None)
+        j = next((j for j in range(len(divisors), len(cols)) if s[perm[j]]), None)
         if j is None:
             raise RingError("target lies in the span; no separating character")
-        d = 2 * s[j]
-    return {c: v for c, q in zip(cols, Q) if (v := Fraction(q[j], d) % 1)}
+        d = 2 * s[perm[j]]
+    x = dict.fromkeys(cols, 0) | {perm[j]: 1}
+    for k, c, q in reversed(ops):
+        x[c] -= q * x[k]
+    return {c: v for c in cols if (v := Fraction(x[c], d) % 1)}
 
 
 def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) -> list[dict]:

@@ -9,10 +9,11 @@
 * The YES verifier's representative check by placement: every generator
   is placed at the certified representative's slot map and compared.
   The library looks the representative's chain skeleton up instead.
-* The Smith form with a row-major transform and flag-guarded steps, and
-  the character on caller-given columns as a dense tuple.  The library
-  keeps the transform by columns and returns the character sparse, on
-  the columns it works out itself.
+* The Smith form on a dense matrix with a dense row-major transform Q
+  and flag-guarded steps, and the character on caller-given columns as
+  a dense tuple.  The library runs the same steps on sparse rows, keeps
+  Q as its list of column operations, and returns the character sparse,
+  on the columns it works out itself.
 """
 
 from dataclasses import dataclass

@@ -121,6 +121,19 @@ def test_decide_closed_stdout_still_writes_certificate(files):
     assert verify.returncode == 0 and json.loads(verify.stdout) == {"verified": True}
 
 
+def test_decide_unwritable_certificate_path_exit_2(files, capsys):
+    """A certificate path in a missing directory, or naming a directory,
+    is an input error: exit 2, one line, nothing on stdout."""
+    t, g, tmp = files
+    for cert in (tmp / "nodir" / "x.json", tmp):
+        code = main([str(a) for a in ["decide", "--target", t, "--gens", g,
+                                      "--emit-certificate", cert]])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_verify_round_trip(files, capsys):
     t, g, tmp = files
     code, out = run_cli(["decide", "--target", t, "--gens", g], capsys)

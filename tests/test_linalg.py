@@ -311,6 +311,16 @@ def test_row_kernels_match_plain_arithmetic(a, b, p, xyuv, aden, bden, cn, cd, s
 # -- Smith normal form -------------------------------------------------------
 
 
+def q_of(ops, perm):
+    """The dense column transform Q = E1 ... Ek P on columns 0..n-1: the
+    identity's columns with each column operation applied in order, then
+    put in the order ``perm``."""
+    cols = {c: [int(i == c) for i in range(len(perm))] for c in perm}
+    for k, c, q in ops:
+        cols[k] = [a - q * b for a, b in zip(cols[k], cols[c])]
+    return [list(row) for row in zip(*(cols[c] for c in perm))]
+
+
 @given(
     st.lists(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
@@ -323,7 +333,8 @@ def test_row_kernels_match_plain_arithmetic(a, b, p, xyuv, aden, bden, cn, cd, s
 def test_smith_membership_equivalence(rows, data):
     """SNF-based membership conditions agree with lattice reduction."""
     n = len(rows[0])
-    divisors, Q = smith_with_colops(rows, n)
+    divisors, ops, perm = smith_with_colops([sparse(r) for r in rows], range(n))
+    Q = q_of(ops, perm)
     for a, b in zip(divisors, divisors[1:]):
         assert a > 0 and b % a == 0
     engine = IntegerSpan()
@@ -356,10 +367,32 @@ def int_matrices(draw):
 @given(int_matrices())
 @settings(max_examples=400, deadline=None)
 def test_smith_matches_reference(case):
-    """The column-kept transform reproduces the row-major routine exactly:
-    the same divisors and the same Q."""
+    """The sparse routine reproduces the dense row-major one exactly: the
+    same divisors, and its column operations rebuild the same Q."""
     rows, n = case
-    assert smith_with_colops(rows, n) == reference.smith_with_colops(rows, n)
+    divisors, ops, perm = smith_with_colops([sparse(r) for r in rows], range(n))
+    assert (divisors, q_of(ops, perm)) == reference.smith_with_colops(rows, n)
+
+
+@given(int_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_smith_read_off_matches_reference(case, data):
+    """The character's two reads of Q from the column operations: replayed
+    in order on a target they give target * Q, and replayed in reverse on
+    the unit vector at perm[j] they give column j of Q."""
+    rows, n = case
+    _, ops, perm = smith_with_colops([sparse(r) for r in rows], range(n))
+    _, Q = reference.smith_with_colops(rows, n)
+    target = data.draw(st.lists(int_entry, min_size=n, max_size=n))
+    s = list(target)
+    for k, c, q in ops:
+        s[k] -= q * s[c]
+    assert [s[c] for c in perm] == [sum(t * row[j] for t, row in zip(target, Q)) for j in range(n)]
+    for j in range(n):
+        x = [int(i == perm[j]) for i in range(n)]
+        for k, c, q in reversed(ops):
+            x[c] -= q * x[k]
+        assert x == [row[j] for row in Q]
 
 
 @given(
