@@ -28,13 +28,7 @@ from math import lcm
 from typing import Sequence
 
 from permod import oracle as _oracle
-from permod.linalg import (
-    character_from_span,
-    coord_block_basis,
-    make_span,
-    normalize_functional,
-    span_intersect_coords,
-)
+from permod.linalg import character_from_span, make_span, normalize_functional
 from permod.oracle import ExplicitWitness
 from permod.pmod import (
     AugVector,
@@ -48,7 +42,7 @@ from permod.pmod import (
     support_points,
     translate_onto,
 )
-from permod.ring import RingError, RingSpec, Scalar
+from permod.ring import QQ, RingError, RingSpec, Scalar
 from permod.structure import (
     ParamSet,
     canonical_orbit_reps,
@@ -295,13 +289,23 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     span vectors supported on at most k parameter-only patterns over that
     grid; such patterns lift exactly (their tuples are fixed pointwise).
 
-    The basis of the residue-pruned rows is eliminated again with the
-    singleton (parameter-only) pattern columns last, for W, the span's
-    intersection with those columns (`coord_block_basis`).  Each candidate
-    subset C is then tried against W alone, as span ∩ <e_C> = W ∩ <e_C>.
-    Subsets run in the order of their reversed tuples, and a column on
-    which W vanishes is skipped: a subset holding it hits only if the
-    earlier subset without it does.
+    The residue-pruned rows are eliminated once, with the singleton
+    (parameter-only) pattern columns sorted last, so the basis rows that
+    pivot in that block span W, the span's intersection with it: its RREF
+    over a field, its Hermite form over Z.  A subset C of columns holds a
+    nonzero vector of W exactly when the columns of W's parity check H
+    indexed by C are dependent, over F = the ring, or Q over Z (a vector
+    of Q*W has a multiple in W).  Column c of H is e_c for a free column
+    of W's RREF, and minus the RREF row of pivot c, pivot left out, for a
+    pivot column.  Subsets run in the order of their reversed tuples,
+    which lists every proper subset before the set; a column on which W
+    vanishes is skipped, as a subset holding it hits only if the earlier
+    subset without it does.  So at the first hit no proper subset is
+    dependent: the dependency is unique up to scale, has full support,
+    and only the last insert fails.  It is scaled by
+    `normalize_functional`, and over Z by the least factor that puts it
+    in the lattice W, the lcm of the denominators of its coordinates on
+    W's basis: W's Hermite row on C.
     """
     if k < 1:
         raise ValueError("support bound must be at least 1")
@@ -314,20 +318,37 @@ def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
     grid = [Fraction(i) for i in range(1, k * n + 1)]
     params = ParamSet.of(grid)
     singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
+    block = {text for text, _ in singleton}
 
-    engine = make_span(ring)
+    def keyed(pairs):
+        return (((c in block, c), v) for c, v in pairs)
+
+    engine = make_span(ring, provenance=False)
     for skeleton in _dedup_orbits(generators):
-        for _, row in placed_rows(skeleton, ring, params, engine.residue):
-            engine.insert(row.entries)
-    w = coord_block_basis((r for _, r in engine.basis_pairs()), (t for t, _ in singleton), ring)
-
-    live = [i for i, (text, _) in enumerate(singleton) if any(text in row for row in w)]
+        for _, row in placed_rows(skeleton, ring, params, lambda p: engine.residue(keyed(p))):
+            engine.insert(keyed(row.entries))
+    field = ring if ring.is_field else QQ
+    w = make_span(field)
+    for (in_block, _), row in engine.basis_pairs():
+        if in_block:
+            w.insert((c, v) for (_, c), v in row.items())
+    rref = dict(w.basis_pairs())
+    support = set().union(*rref.values())
+    live = [(text, tup) for text, tup in singleton if text in support]
+    h = [{f: -v for f, v in rref[text].items() if f != text} if text in rref else {text: 1}
+         for text, _ in live]
     for picks in _colex(len(live), k):
-        subset = [singleton[live[i]] for i in picks]
-        hit = span_intersect_coords(w, (text for text, _ in subset), ring)
-        if hit is not None:
-            return ModVector.from_terms(ring, n, [(tup, hit[text]) for text, tup in subset
-                                                  if text in hit])
+        subset = [live[i] for i in picks]
+        span = make_span(field)
+        if all(span.insert(h[i].items()) for i in picks):
+            continue
+        comb = span.reduce_comb(h[picks[-1]].items())
+        x = {subset[j][0]: v for j, v in comb.items()} | {subset[-1][0]: -1}
+        hit = normalize_functional(x, field)
+        if not ring.is_field:
+            m = lcm(*(v.denominator for v in w.reduce_comb(hit.items()).values()))
+            hit = {c: int(v * m) for c, v in hit.items()}
+        return ModVector.from_terms(ring, n, [(tup, hit[text]) for text, tup in subset])
     return None
 
 

@@ -1,6 +1,5 @@
 """Exact span kernels over sparse rows: membership with coefficients,
-dual functionals, integer characters, and coordinate-constrained span
-search.
+dual functionals and integer characters.
 
 Every row, in and out, is sparse: a dict or an iterable of
 (column, value) pairs, where columns are any sortable keys and pivot
@@ -480,31 +479,3 @@ def character_from_span(engine: IntegerSpan, target: dict) -> dict:
     for k, c, q in reversed(ops):
         x[c] -= q * x[k]
     return {c: v for c in cols if (v := Fraction(x[c], d) % 1)}
-
-
-def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) -> list[dict]:
-    """A basis of the span's intersection with the ``coords`` coordinates,
-    in pivot order.
-
-    Re-echelonises with the other columns ordered first: the basis rows
-    whose pivots fall in the trailing block are supported on ``coords``
-    alone and span the intersection.  They are its RREF over a field and
-    its Hermite normal form over Z, and both are unique.
-    """
-    coords = set(coords)
-    engine = make_span(ring, provenance=False)
-    for row in rows:
-        engine.insert(((c in coords, c), v) for c, v in row.items())
-    return [{c: v for (_, c), v in row.items()}
-            for (in_block, _), row in sorted(engine.basis_pairs(), key=lambda t: t[0])
-            if in_block]
-
-
-def span_intersect_coords(rows: Iterable[dict], coords: Iterable, ring: RingSpec):
-    """A nonzero span row vanishing outside ``coords``, else None: the
-    first row of `coord_block_basis`, scaled by `normalize_functional`
-    over a field."""
-    basis = coord_block_basis(rows, coords, ring)
-    if not basis:
-        return None
-    return normalize_functional(basis[0], ring) if ring.is_field else basis[0]

@@ -14,23 +14,35 @@
   a dense tuple.  The library runs the same steps on sparse rows, keeps
   Q as its list of column operations, and returns the character sparse,
   on the columns it works out itself.
+* The small-support search by re-elimination: every candidate subset
+  re-echelonises all of W with that subset's columns last
+  (`span_intersect_coords`).  The library eliminates once and tests
+  each subset against W's parity check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
-from permod.linalg import IntegerSpan
+from permod.decide import _colex, _dedup_orbits
+from permod.linalg import IntegerSpan, make_span, normalize_functional
 from permod.oracle import (
     ExplicitWitness,
     OracleResult,
     _placed_on_grid,
     _span_of_placed,
 )
-from permod.pmod import ModVector, chain_skeleton, check_family, support_points, translate_onto
-from permod.ring import RingError
-from permod.structure import ParamSet, gap_values, realize, slot_map_of
+from permod.pmod import (
+    ModVector,
+    chain_skeleton,
+    check_family,
+    placed_rows,
+    support_points,
+    translate_onto,
+)
+from permod.ring import RingError, RingSpec
+from permod.structure import ParamSet, gap_values, pattern_of_tuple, realize, slot_map_of
 
 Slot = tuple[str, int]  # ("param", i) or ("gap", i)
 
@@ -244,3 +256,75 @@ def character_from_span(engine: IntegerSpan, target: dict, cols: Sequence) -> tu
             raise RingError("target lies in the span; no separating character")
         scale = Fraction(1, 2 * s[j])
     return tuple(Q[i][j] * scale % 1 for i in range(ncols))
+
+
+def coord_block_basis(rows: Iterable[dict], coords: Iterable, ring: RingSpec) -> list[dict]:
+    """A basis of the span's intersection with the ``coords`` coordinates,
+    in pivot order.
+
+    Re-echelonises with the other columns ordered first: the basis rows
+    whose pivots fall in the trailing block are supported on ``coords``
+    alone and span the intersection.  They are its RREF over a field and
+    its Hermite normal form over Z, and both are unique.
+    """
+    coords = set(coords)
+    engine = make_span(ring, provenance=False)
+    for row in rows:
+        engine.insert(((c in coords, c), v) for c, v in row.items())
+    return [{c: v for (_, c), v in row.items()}
+            for (in_block, _), row in sorted(engine.basis_pairs(), key=lambda t: t[0])
+            if in_block]
+
+
+def span_intersect_coords(rows: Iterable[dict], coords: Iterable, ring: RingSpec):
+    """A nonzero span row vanishing outside ``coords``, else None: the
+    first row of `coord_block_basis`, scaled by `normalize_functional`
+    over a field."""
+    basis = coord_block_basis(rows, coords, ring)
+    if not basis:
+        return None
+    return normalize_functional(basis[0], ring) if ring.is_field else basis[0]
+
+
+def min_support(generators: Sequence[ModVector], k: int) -> ModVector | None:
+    """A nonzero module element with at most k basis tuples, or None.
+
+    Every orbit of k-element tuple sets has a representative with all
+    coordinates in the integer grid 1..k*n, so it is enough to look for
+    span vectors supported on at most k parameter-only patterns over that
+    grid; such patterns lift exactly (their tuples are fixed pointwise).
+
+    The basis of the residue-pruned rows is eliminated again with the
+    singleton (parameter-only) pattern columns last, for W, the span's
+    intersection with those columns (`coord_block_basis`).  Each candidate
+    subset C is then tried against W alone, as span ∩ <e_C> = W ∩ <e_C>.
+    Subsets run in the order of their reversed tuples, and a column on
+    which W vanishes is skipped: a subset holding it hits only if the
+    earlier subset without it does.
+    """
+    if k < 1:
+        raise ValueError("support bound must be at least 1")
+    generators = list(generators)
+    if not generators:
+        return None
+    check_family(generators)
+    ring = generators[0].ring
+    n = generators[0].arity
+    grid = [Fraction(i) for i in range(1, k * n + 1)]
+    params = ParamSet.of(grid)
+    singleton = [(pattern_of_tuple(t, params), t) for t in product(grid, repeat=n)]
+
+    engine = make_span(ring)
+    for skeleton in _dedup_orbits(generators):
+        for _, row in placed_rows(skeleton, ring, params, engine.residue):
+            engine.insert(row.entries)
+    w = coord_block_basis((r for _, r in engine.basis_pairs()), (t for t, _ in singleton), ring)
+
+    live = [i for i, (text, _) in enumerate(singleton) if any(text in row for row in w)]
+    for picks in _colex(len(live), k):
+        subset = [singleton[live[i]] for i in picks]
+        hit = span_intersect_coords(w, (text for text, _ in subset), ring)
+        if hit is not None:
+            return ModVector.from_terms(ring, n, [(tup, hit[text]) for text, tup in subset
+                                                  if text in hit])
+    return None

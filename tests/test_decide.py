@@ -3,11 +3,14 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import reference
 from permod.decide import (
     CharacterCert,
+    _colex,
     FunctionalCert,
     SpanWitnessCert,
     cyclic_generator,
@@ -19,7 +22,7 @@ from permod.decide import (
     pure_set_expand,
     verify_certificate,
 )
-from permod.oracle import oracle_membership
+from permod.oracle import InstanceProfile, oracle_membership, random_instance
 from permod.pmod import AugVector, ModVector, act, omega, support_points
 from permod.ring import GF, QQ, ZZ, RingError
 from permod.structure import ParamSet
@@ -325,6 +328,48 @@ def test_min_support_four_point_k5_returns(ring):
     # W is nonzero on 90 of the 100 singleton columns: the subsets are
     # never listed, only walked up to the first hit
     assert min_support([four_point(ring)], 5) == vec(ring, 2, [((1, 2), 1), ((2, 1), -1)])
+
+
+def test_min_support_matches_reference():
+    """The parity-check subset test returns the reference's vector, or
+    None with it, on seeded random generators."""
+    rng = random.Random(24)
+    for ring in (QQ, GF(2), GF(3), GF(5), ZZ):
+        for arity in (1, 2, 3):
+            for k in (1, 2, 3):
+                for _ in range(2):
+                    profile = InstanceProfile(ring=ring, arity=arity, max_support=3)
+                    gens = random_instance(rng.randrange(10**6), profile).generators
+                    assert min_support(gens, k) == reference.min_support(gens, k)
+    # a hit that is not primitive in the lattice: over Z the least
+    # multiple of the rational dependency that lies in W
+    gen = vec(ZZ, 2, [((0, 1), 2), ((1, 0), -4)])
+    found = min_support([gen], 2)
+    assert found == reference.min_support([gen], 2) == vec(ZZ, 2, [((1, 2), 2), ((2, 1), -4)])
+
+
+def test_colex_lists_every_proper_subset_first():
+    # the first hit of `min_support` is unique up to scale only because
+    # every proper subset was tried before it
+    for n in range(8):
+        for k in range(1, 5):
+            seen = []
+            for subset in _colex(n, k):
+                assert all(sub in seen for size in range(1, len(subset))
+                           for sub in combinations(subset, size))
+                seen.append(subset)
+            assert sorted(seen) == sorted(c for size in range(1, k + 1)
+                                          for c in combinations(range(n), size))
+
+
+def test_min_support_tri_k6_is_fast():
+    # the reference search takes about 10 s here and returns this vector
+    gen = vec(QQ, 2, [((0, 1), 1), ((1, 2), 2), ((2, 0), 3)])
+    t0 = time.process_time()
+    found = min_support([gen], 6)
+    assert time.process_time() - t0 < 2.0
+    assert found == vec(QQ, 2, [((1, 2), 3), ((1, 3), -2), ((2, 1), 3), ((2, 3), 2)])
+    assert membership(found, [gen]).member
 
 
 # -- the pure-set reduct -----------------------------------------------------------
