@@ -10,9 +10,9 @@ import pytest
 import reference
 from permod.decide import (
     CharacterCert,
-    _colex,
     FunctionalCert,
     SpanWitnessCert,
+    _colex,
     cyclic_generator,
     decision_from_json,
     decision_to_json,
